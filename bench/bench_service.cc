@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "qmap/common/fnv.h"
 #include "qmap/contexts/synthetic.h"
 #include "qmap/expr/printer.h"
 #include "qmap/mediator/mediator.h"
@@ -184,9 +185,17 @@ void CacheProbe_StringKey(benchmark::State& state) {
   auto render_key = [](int source, const qmap::Query& q) {
     return "S" + std::to_string(source) + "\x1f" + qmap::ToParseableText(q);
   };
+  // Folds the rendered string into the typed key space: three independent
+  // FNV streams told apart by a leading tag byte.
+  auto fold = [](const std::string& key) {
+    return qmap::TranslationCacheKey{
+        qmap::Fnv64().AddByte('s').Add(key).value(),
+        qmap::Fnv64().AddByte('r').Add(key).value(),
+        qmap::Fnv64().AddByte('q').Add(key).value()};
+  };
   for (int s = 0; s < kSources; ++s) {
     for (const qmap::Query& q : workload) {
-      cache.Put(render_key(s, q), qmap::Translation{});
+      cache.Put(fold(render_key(s, q)), qmap::Translation{});
     }
   }
   uint64_t key_bytes = 0;
@@ -195,7 +204,7 @@ void CacheProbe_StringKey(benchmark::State& state) {
     const qmap::Query& q = workload[next % workload.size()];
     std::string key = render_key(static_cast<int>(next % kSources), q);
     key_bytes += key.size();
-    auto hit = cache.Get(key);
+    auto hit = cache.Get(fold(key));
     benchmark::DoNotOptimize(hit);
     ++next;
   }

@@ -11,11 +11,14 @@ class MetricsRegistry;
 ///
 /// When interning is enabled (the default), Query::True/Leaf/And/Or and the
 /// constraint interner canonicalize every node at construction against a
-/// process-wide table: one shared node per distinct subtree, so pointer
-/// equality coincides with structural equality and every node carries a
-/// precomputed 64-bit fingerprint. The tables live for the process lifetime
-/// (like AttrNameTable) and are never evicted; entries are verified exactly
-/// on fingerprint-bucket hits, so interning itself is collision-proof.
+/// process-wide table: one shared node per distinct live subtree, so pointer
+/// equality coincides with structural equality among live nodes and every
+/// node carries a precomputed 64-bit fingerprint. Each table is a fixed set
+/// of mutex-guarded shards picked by fingerprint, holding weak entries: the
+/// table keeps nothing alive, and an interned node or constraint erases its
+/// own entry when its last handle goes, so the tables hold only what the
+/// process still references. Entries are verified exactly on
+/// fingerprint-bucket hits, so interning itself is collision-proof.
 ///
 /// Set the QMAP_DISABLE_INTERN environment variable (any value, checked once
 /// at first use) or call SetQueryInternEnabled(false) to construct plain
@@ -24,14 +27,17 @@ class MetricsRegistry;
 /// the pointer-equality guarantee are affected. The toggle is not
 /// thread-safe against concurrent query construction.
 
-/// Cumulative statistics of the process-wide intern tables.
+/// Statistics of the process-wide intern tables. Hits, misses and `*_nodes`
+/// are cumulative; `*_live` is the current table size.
 struct InternStats {
   uint64_t query_hits = 0;        // constructions resolved to an existing node
   uint64_t query_misses = 0;      // constructions that inserted a new node
-  uint64_t query_nodes = 0;       // distinct nodes currently in the table
+  uint64_t query_nodes = 0;       // distinct nodes ever inserted
+  uint64_t query_live = 0;        // nodes currently in the table
   uint64_t constraint_hits = 0;   // leaf constraints resolved to existing
   uint64_t constraint_misses = 0; // leaf constraints newly interned
-  uint64_t constraint_nodes = 0;  // distinct constraints currently in table
+  uint64_t constraint_nodes = 0;  // distinct constraints ever inserted
+  uint64_t constraint_live = 0;   // constraints currently in the table
 };
 
 InternStats QueryInternStats();
@@ -44,6 +50,7 @@ bool QueryInternEnabled();
 /// Bridges intern-table activity into `registry` as monotonic counters:
 ///   qmap_intern_query_hits_total / qmap_intern_query_nodes_total
 ///   qmap_intern_constraint_hits_total / qmap_intern_constraint_nodes_total
+/// (the live sizes are gauges that TranslationService sets at scrape time).
 /// Current totals are backfilled at attach time, so attaching after warm-up
 /// still reports lifetime values. Pass nullptr to detach. The registry must
 /// outlive all query construction (or a subsequent AttachInternMetrics).

@@ -1,11 +1,11 @@
 #include "qmap/expr/query.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 
 #include "qmap/common/fnv.h"
@@ -49,12 +49,110 @@ bool& InternFlag() {
 namespace qmap {
 namespace {
 
-// Process-wide hash-cons tables (DESIGN.md §9). Both tables bucket by 64-bit
-// fingerprint and verify bucket candidates exactly, so interning never
-// conflates distinct structures even under a fingerprint collision. Entries
-// are retained for the process lifetime (leaky static, like AttrNameTable);
-// there is no eviction, which is what makes the canonical-pointer guarantee
-// sound without generation counters.
+constexpr int kInternShardBits = 6;
+constexpr size_t kInternShards = size_t{1} << kInternShardBits;
+
+// FNV's low bits already pick the bucket inside a shard's hash map, so the
+// shard comes from the top bits of a multiplicative mix of all 64.
+size_t InternShardOf(uint64_t fp) {
+  return static_cast<size_t>((fp * 0x9e3779b97f4a7c15ull) >>
+                             (64 - kInternShardBits));
+}
+
+// One process-wide hash-cons table (DESIGN.md §9): a fixed array of
+// independently locked shards, each a fingerprint -> entries multimap.
+// Entries are weak, so the table never keeps an object alive; an interned
+// object erases its own entry from its destructor (Erase). Bucket candidates
+// are verified exactly, so interning never conflates distinct structures
+// even under a fingerprint collision.
+template <typename T>
+class InternTable {
+ public:
+  // Returns the live object in the table for which `same(candidate)` holds,
+  // or publishes the one `make()` returns. `make` runs under the shard lock
+  // and must not destroy an interned object.
+  template <typename Same, typename Make>
+  std::shared_ptr<const T> Intern(uint64_t fp, Same same, Make make,
+                                   bool* hit) {
+    Shard& shard = shards_[InternShardOf(fp)];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto [first, last] = shard.entries.equal_range(fp);
+    for (auto it = first; it != last; ++it) {
+      // The entry still exists, so its object's destructor has not got past
+      // Erase and the memory behind `raw` is intact.
+      if (!same(*it->second.raw)) continue;
+      // An exact match whose last handle is gone is absent: its destructor
+      // is waiting for this lock to erase it.
+      if (std::shared_ptr<const T> live = it->second.weak.lock()) {
+        ++shard.hits;
+        *hit = true;
+        return live;
+      }
+    }
+    std::shared_ptr<const T> owned = make();
+    shard.entries.emplace(fp, Entry{owned.get(), owned});
+    ++shard.misses;
+    ++shard.live;
+    *hit = false;
+    return owned;
+  }
+
+  // Removes the entry of `raw`; called once, from the object's destructor.
+  void Erase(uint64_t fp, const T* raw) {
+    Shard& shard = shards_[InternShardOf(fp)];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto [first, last] = shard.entries.equal_range(fp);
+    for (auto it = first; it != last; ++it) {
+      if (it->second.raw == raw) {
+        shard.entries.erase(it);
+        --shard.live;
+        return;
+      }
+    }
+  }
+
+  // Sums {hits, misses, live} over the shards.
+  void AddStats(uint64_t* hits, uint64_t* misses, uint64_t* live) {
+    for (Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      *hits += shard.hits;
+      *misses += shard.misses;
+      *live += shard.live;
+    }
+  }
+
+ private:
+  struct Entry {
+    const T* raw;                 // dereferenced only under the shard lock
+    std::weak_ptr<const T> weak;  // a hit is weak.lock()
+  };
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::unordered_multimap<uint64_t, Entry> entries;  // guarded by mu
+    uint64_t hits = 0;    // guarded by mu
+    uint64_t misses = 0;  // guarded by mu; entries ever inserted
+    uint64_t live = 0;    // guarded by mu; entries not yet erased
+  };
+
+  std::array<Shard, kInternShards> shards_;
+};
+
+// Owner of an interned constraint. Leaves hold it through an aliasing
+// shared_ptr<const Constraint>, so the last leaf to go erases the entry.
+struct InternedConstraint {
+  InternedConstraint(Constraint c, uint64_t fp)
+      : value(std::move(c)), fingerprint(fp) {}
+  ~InternedConstraint();
+  InternedConstraint(const InternedConstraint&) = delete;
+  InternedConstraint& operator=(const InternedConstraint&) = delete;
+
+  const Constraint value;
+  const uint64_t fingerprint;
+};
+
+// The query-node and constraint tables plus the optional metrics bridge.
+// Leaky static (like AttrNameTable), so destructors of objects that outlive
+// static destruction can still erase their entries.
 class InternTables {
  public:
   static InternTables& Global() {
@@ -64,78 +162,63 @@ class InternTables {
 
   std::shared_ptr<const Constraint> InternConstraint(Constraint c,
                                                      uint64_t fp) {
-    {
-      std::shared_lock<std::shared_mutex> lock(cmu_);
-      if (const auto* found = FindConstraint(fp, c)) {
-        BumpConstraintHit();
-        return *found;
-      }
-    }
-    std::unique_lock<std::shared_mutex> lock(cmu_);
-    if (const auto* found = FindConstraint(fp, c)) {
-      BumpConstraintHit();
-      return *found;
-    }
-    auto owned = std::make_shared<const Constraint>(std::move(c));
-    constraints_[fp].push_back(owned);
-    constraint_misses_.fetch_add(1, std::memory_order_relaxed);
-    constraint_nodes_.fetch_add(1, std::memory_order_relaxed);
-    if (Counter* counter =
-            constraint_nodes_counter_.load(std::memory_order_acquire)) {
-      counter->Inc();
-    }
-    return owned;
+    bool hit = false;
+    std::shared_ptr<const Constraint> out = constraints_.Intern(
+        fp,
+        [&c](const Constraint& candidate) {
+          return SamePrintedForm(candidate, c);
+        },
+        [&] {
+          auto holder = std::make_shared<InternedConstraint>(std::move(c), fp);
+          return std::shared_ptr<const Constraint>(holder, &holder->value);
+        },
+        &hit);
+    Bump(hit ? constraint_hits_counter_ : constraint_nodes_counter_);
+    return out;
   }
 
   // `candidate` must already have canonical (interned) children and, for
   // leaves, an interned constraint pointer, so verification is pure pointer
-  // comparison.
+  // comparison. It is released only after the shard lock is: on a hit its
+  // destruction drops references to children.
   std::shared_ptr<const Query::Node> InternNode(
       std::shared_ptr<Query::Node> candidate) {
-    const uint64_t fp = candidate->fingerprint;
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      if (const auto* found = FindNode(fp, *candidate)) {
-        BumpQueryHit();
-        return *found;
-      }
-    }
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    if (const auto* found = FindNode(fp, *candidate)) {
-      BumpQueryHit();
-      return *found;
-    }
-    candidate->interned = true;
-    std::shared_ptr<const Query::Node> owned = std::move(candidate);
-    nodes_[fp].push_back(owned);
-    query_misses_.fetch_add(1, std::memory_order_relaxed);
-    query_nodes_.fetch_add(1, std::memory_order_relaxed);
-    if (Counter* counter =
-            query_nodes_counter_.load(std::memory_order_acquire)) {
-      counter->Inc();
-    }
-    return owned;
+    const Query::Node& node = *candidate;
+    bool hit = false;
+    std::shared_ptr<const Query::Node> out = nodes_.Intern(
+        node.fingerprint,
+        [&node](const Query::Node& entry) { return SameNode(entry, node); },
+        [&] {
+          candidate->interned = true;
+          return std::shared_ptr<const Query::Node>(std::move(candidate));
+        },
+        &hit);
+    Bump(hit ? query_hits_counter_ : query_nodes_counter_);
+    return out;
   }
 
-  InternStats Stats() const {
+  void EraseNode(const Query::Node* node) {
+    nodes_.Erase(node->fingerprint, node);
+  }
+
+  void EraseConstraint(const InternedConstraint* holder) {
+    constraints_.Erase(holder->fingerprint, &holder->value);
+  }
+
+  InternStats Stats() {
     InternStats s;
-    s.query_hits = query_hits_.load(std::memory_order_relaxed);
-    s.query_misses = query_misses_.load(std::memory_order_relaxed);
-    s.query_nodes = query_nodes_.load(std::memory_order_relaxed);
-    s.constraint_hits = constraint_hits_.load(std::memory_order_relaxed);
-    s.constraint_misses = constraint_misses_.load(std::memory_order_relaxed);
-    s.constraint_nodes = constraint_nodes_.load(std::memory_order_relaxed);
+    nodes_.AddStats(&s.query_hits, &s.query_misses, &s.query_live);
+    s.query_nodes = s.query_misses;
+    constraints_.AddStats(&s.constraint_hits, &s.constraint_misses,
+                          &s.constraint_live);
+    s.constraint_nodes = s.constraint_misses;
     return s;
   }
 
   void Attach(MetricsRegistry* registry) {
     std::lock_guard<std::mutex> lock(attach_mu_);
     if (registry == nullptr) {
-      query_hits_counter_.store(nullptr, std::memory_order_release);
-      query_nodes_counter_.store(nullptr, std::memory_order_release);
-      constraint_hits_counter_.store(nullptr, std::memory_order_release);
-      constraint_nodes_counter_.store(nullptr, std::memory_order_release);
-      attached_registry_ = nullptr;
+      DetachLocked();
       return;
     }
     attached_registry_ = registry;
@@ -160,7 +243,29 @@ class InternTables {
 
   void DetachIf(MetricsRegistry* registry) {
     std::lock_guard<std::mutex> lock(attach_mu_);
-    if (attached_registry_ != registry) return;
+    if (attached_registry_ == registry) DetachLocked();
+  }
+
+ private:
+  static bool SameNode(const Query::Node& entry, const Query::Node& node) {
+    if (entry.kind != node.kind) return false;
+    if (node.kind == NodeKind::kLeaf) return entry.constraint == node.constraint;
+    if (entry.children.size() != node.children.size()) return false;
+    for (size_t i = 0; i < node.children.size(); ++i) {
+      if (entry.children[i].identity() != node.children[i].identity()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  static void Bump(const std::atomic<Counter*>& slot) {
+    if (Counter* counter = slot.load(std::memory_order_acquire)) {
+      counter->Inc();
+    }
+  }
+
+  void DetachLocked() {
     query_hits_counter_.store(nullptr, std::memory_order_release);
     query_nodes_counter_.store(nullptr, std::memory_order_release);
     constraint_hits_counter_.store(nullptr, std::memory_order_release);
@@ -168,76 +273,20 @@ class InternTables {
     attached_registry_ = nullptr;
   }
 
- private:
-  const std::shared_ptr<const Constraint>* FindConstraint(
-      uint64_t fp, const Constraint& c) const {
-    auto it = constraints_.find(fp);
-    if (it == constraints_.end()) return nullptr;
-    for (const auto& candidate : it->second) {
-      if (SamePrintedForm(*candidate, c)) return &candidate;
-    }
-    return nullptr;
-  }
-
-  const std::shared_ptr<const Query::Node>* FindNode(
-      uint64_t fp, const Query::Node& node) const {
-    auto it = nodes_.find(fp);
-    if (it == nodes_.end()) return nullptr;
-    for (const auto& candidate : it->second) {
-      if (candidate->kind != node.kind) continue;
-      if (node.kind == NodeKind::kLeaf) {
-        if (candidate->constraint == node.constraint) return &candidate;
-        continue;
-      }
-      if (candidate->children.size() != node.children.size()) continue;
-      bool same = true;
-      for (size_t i = 0; i < node.children.size(); ++i) {
-        if (candidate->children[i].identity() != node.children[i].identity()) {
-          same = false;
-          break;
-        }
-      }
-      if (same) return &candidate;
-    }
-    return nullptr;
-  }
-
-  void BumpQueryHit() {
-    query_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (Counter* counter = query_hits_counter_.load(std::memory_order_acquire)) {
-      counter->Inc();
-    }
-  }
-
-  void BumpConstraintHit() {
-    constraint_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (Counter* counter =
-            constraint_hits_counter_.load(std::memory_order_acquire)) {
-      counter->Inc();
-    }
-  }
-
-  mutable std::shared_mutex mu_;   // guards nodes_
-  mutable std::shared_mutex cmu_;  // guards constraints_
-  std::unordered_map<uint64_t, std::vector<std::shared_ptr<const Query::Node>>>
-      nodes_;
-  std::unordered_map<uint64_t, std::vector<std::shared_ptr<const Constraint>>>
-      constraints_;
-
-  std::atomic<uint64_t> query_hits_{0};
-  std::atomic<uint64_t> query_misses_{0};
-  std::atomic<uint64_t> query_nodes_{0};
-  std::atomic<uint64_t> constraint_hits_{0};
-  std::atomic<uint64_t> constraint_misses_{0};
-  std::atomic<uint64_t> constraint_nodes_{0};
+  InternTable<Query::Node> nodes_;
+  InternTable<Constraint> constraints_;
 
   std::mutex attach_mu_;
-  MetricsRegistry* attached_registry_ = nullptr;
+  MetricsRegistry* attached_registry_ = nullptr;  // guarded by attach_mu_
   std::atomic<Counter*> query_hits_counter_{nullptr};
   std::atomic<Counter*> query_nodes_counter_{nullptr};
   std::atomic<Counter*> constraint_hits_counter_{nullptr};
   std::atomic<Counter*> constraint_nodes_counter_{nullptr};
 };
+
+InternedConstraint::~InternedConstraint() {
+  InternTables::Global().EraseConstraint(this);
+}
 
 // Appends `child` to `out`, flattening nested nodes of the same kind.
 void Flatten(NodeKind kind, const Query& child, std::vector<Query>* out) {
@@ -268,6 +317,10 @@ void DedupChildren(std::vector<Query>* children) {
 }
 
 }  // namespace
+
+Query::Node::~Node() {
+  if (interned) InternTables::Global().EraseNode(this);
+}
 
 InternStats QueryInternStats() { return InternTables::Global().Stats(); }
 
@@ -422,8 +475,8 @@ int Query::Depth() const {
 bool Query::StructurallyEquals(const Query& other) const {
   if (node_ == other.node_) return true;
   if (node_->fingerprint != other.node_->fingerprint) return false;
-  // Two distinct interned nodes are guaranteed structurally distinct — the
-  // table holds exactly one node per structure.
+  // Two distinct live interned nodes are guaranteed structurally distinct —
+  // the table holds exactly one live node per structure.
   if (node_->interned && other.node_->interned) return false;
   if (kind() != other.kind()) return false;
   switch (kind()) {

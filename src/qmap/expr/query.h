@@ -27,7 +27,7 @@ enum class NodeKind { kTrue, kLeaf, kAnd, kOr };
 ///
 /// Nodes are hash-consed (see qmap/expr/intern.h): unless interning is
 /// disabled, the constructors canonicalize against a process-wide table so
-/// structurally equal subtrees share one node, and every node carries a
+/// structurally equal live subtrees share one node, and every node carries a
 /// precomputed 64-bit fingerprint() of its structure. Identity-keyed layers
 /// (MatchMemo, the EDNF constraint table, residue-filter dedup, the
 /// translation cache) key on fingerprints instead of printed strings.
@@ -60,7 +60,9 @@ class Query {
   uint64_t fingerprint() const { return node_->fingerprint; }
 
   /// The address of the underlying shared node. When both queries were built
-  /// with interning enabled, equal identity() ⇔ StructurallyEquals.
+  /// with interning enabled, equal identity() ⇔ StructurallyEquals. Valid
+  /// only while a handle lives: once every handle to a node is gone its
+  /// address may be reused, so never key anything on it past that.
   const void* identity() const { return node_.get(); }
 
   /// True if the query is a *simple conjunction*: True, a leaf, or an ∧ node
@@ -99,6 +101,9 @@ class Query {
   /// Implementation detail, public only so the intern table (query.cc) can
   /// build and store nodes; not part of the supported API surface.
   struct Node {
+    /// An interned node erases its own (weak) intern-table entry.
+    ~Node();
+
     NodeKind kind = NodeKind::kTrue;
     // Valid when kind == kLeaf; shared with the constraint intern table so
     // every leaf over the same printed constraint aliases one object.
@@ -106,8 +111,9 @@ class Query {
     std::vector<Query> children;  // valid when kind is kAnd/kOr
     uint64_t fingerprint = 0;
     // True when this node came out of the intern table — then it is THE
-    // canonical node for its structure and pointer inequality between two
-    // interned nodes implies structural inequality.
+    // canonical node for its structure while it lives, and pointer
+    // inequality between two live interned nodes implies structural
+    // inequality.
     bool interned = false;
   };
 

@@ -1,8 +1,8 @@
 #include "qmap/service/translation_cache.h"
 
 #include <algorithm>
+#include <iterator>
 
-#include "qmap/common/fnv.h"
 #include "qmap/obs/metrics.h"
 
 namespace qmap {
@@ -13,14 +13,6 @@ TranslationCache::TranslationCache(TranslationCacheOptions options) {
   per_shard_capacity_ = (capacity + shards - 1) / shards;
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
-TranslationCacheKey TranslationCache::KeyOfString(const std::string& key) {
-  TranslationCacheKey out;
-  out.source = Fnv64().AddByte('s').Add(key).value();
-  out.rule_set = Fnv64().AddByte('r').Add(key).value();
-  out.query = Fnv64().AddByte('q').Add(key).value();
-  return out;
 }
 
 TranslationCache::Shard& TranslationCache::ShardFor(
@@ -63,35 +55,32 @@ std::optional<Translation> TranslationCache::Get(const TranslationCacheKey& key)
   return it->second->value;
 }
 
-std::optional<Translation> TranslationCache::Get(const std::string& key) {
-  return Get(KeyOfString(key));
-}
-
-void TranslationCache::Put(const TranslationCacheKey& key, Translation value) {
+size_t TranslationCache::Put(const TranslationCacheKey& key,
+                             Translation value) {
+  // Declared before the lock so that what this call displaces — the evicted
+  // entry here, or the overwritten value swapped into `value` — is
+  // destroyed after the lock is released.
+  std::list<Entry> dropped;
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->value = std::move(value);
+    std::swap(it->second->value, value);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     ++shard.stats.updates;
     if (updates_counter_ != nullptr) updates_counter_->Inc();
-    return;
+    return 0;
   }
   shard.lru.push_front(Entry{key, std::move(value)});
   shard.index.emplace(key, shard.lru.begin());
   ++shard.stats.insertions;
   if (insertions_counter_ != nullptr) insertions_counter_->Inc();
-  if (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    ++shard.stats.evictions;
-    if (evictions_counter_ != nullptr) evictions_counter_->Inc();
-  }
-}
-
-void TranslationCache::Put(const std::string& key, Translation value) {
-  Put(KeyOfString(key), std::move(value));
+  if (shard.lru.size() <= per_shard_capacity_) return 0;
+  shard.index.erase(shard.lru.back().key);
+  dropped.splice(dropped.begin(), shard.lru, std::prev(shard.lru.end()));
+  ++shard.stats.evictions;
+  if (evictions_counter_ != nullptr) evictions_counter_->Inc();
+  return 1;
 }
 
 TranslationCacheStats TranslationCache::stats() const {
@@ -118,8 +107,9 @@ size_t TranslationCache::size() const {
 
 void TranslationCache::Clear() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
+    std::list<Entry> dropped;  // destroyed after the lock, as in Put
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
+    dropped.swap(shard->lru);
     shard->index.clear();
   }
 }

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -68,13 +67,14 @@ struct TranslationCacheKeyHash {
 };
 
 /// A thread-safe sharded LRU map from TranslationCacheKey to completed
-/// Translations. The legacy string-keyed Get/Put remain as wrappers that
-/// fold the string into a typed key (two independent FNV streams), so both
-/// key styles share one store, one budget, and one LRU order.
+/// Translations.
 ///
 /// Get/Put copy the Translation value. Translation holds Query trees behind
 /// shared immutable nodes with atomic refcounts, so copies handed to
-/// concurrent callers are safe to use and destroy independently.
+/// concurrent callers are safe to use and destroy independently. Values a
+/// Put replaces or evicts are destroyed after the shard lock is released:
+/// dropping the last handle to an interned tree takes intern-table locks
+/// (DESIGN.md §9), which is work no other cache user should wait behind.
 class TranslationCache {
  public:
   explicit TranslationCache(TranslationCacheOptions options = {});
@@ -102,12 +102,11 @@ class TranslationCache {
 
   /// Returns a copy of the entry and refreshes its recency, or nullopt.
   std::optional<Translation> Get(const TranslationCacheKey& key);
-  std::optional<Translation> Get(const std::string& key);
 
   /// Inserts or overwrites `key`, making it the shard's most recent entry;
-  /// evicts the shard's least recent entry when over budget.
-  void Put(const TranslationCacheKey& key, Translation value);
-  void Put(const std::string& key, Translation value);
+  /// evicts the shard's least recent entry when over budget. Returns the
+  /// number of entries this call evicted.
+  size_t Put(const TranslationCacheKey& key, Translation value);
 
   /// Counters aggregated over all shards (a consistent-enough snapshot:
   /// each shard is read under its lock, shards are read in sequence).
@@ -132,12 +131,6 @@ class TranslationCache {
         index;
     TranslationCacheStats stats;
   };
-
-  /// Folds a legacy string key into the typed key space: the three halves
-  /// are independent FNV streams (distinguished by a leading tag byte), so a
-  /// string key colliding with a composed fingerprint key needs a 192-bit
-  /// coincidence.
-  static TranslationCacheKey KeyOfString(const std::string& key);
 
   Shard& ShardFor(const TranslationCacheKey& key);
 

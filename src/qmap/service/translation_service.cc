@@ -400,7 +400,7 @@ Result<Translation> TranslationService::TranslateOne(
       Translation hit = *std::move(*stored);
       hit.stats = TranslationStats{};
       hit.stats.store_hits = 1;
-      cache_.Put(key, hit);
+      hit.stats.cache_evictions = cache_.Put(key, hit);
       return hit;
     }
     if (lookup.enabled()) lookup.AddAttr("hit", "false");
@@ -419,7 +419,7 @@ Result<Translation> TranslationService::TranslateOne(
     // wide one — and a store record outlives the process, so persisting a
     // widened mapping would poison every future boot (docs/ROBUSTNESS.md).
     Span insert(trace, "cache.insert", parent_span);
-    cache_.Put(key, *translation);
+    translation->stats.cache_evictions += cache_.Put(key, *translation);
     if (store_ != nullptr) store_->Put(key, *translation).ok();
   }
   translation->stats.cache_misses = 1;
@@ -436,8 +436,6 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
   if (root.detail()) root.AddAttr("query", ToParseableText(full));
   const uint64_t root_id = root.id();
   const size_t n = sources_.size();
-  const uint64_t evictions_before =
-      options_.enable_cache ? cache_.stats().evictions : 0;
   std::vector<std::optional<Result<Translation>>> outcomes(n);
   std::vector<ResilienceManager::CallReport> reports(n);
   if (pool_ != nullptr && n > 1) {
@@ -541,11 +539,6 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
     if (root.enabled()) root.AddAttr("partial", out.partial.ToString());
   }
   if (pool_ != nullptr && n > 1) out.stats.parallel_tasks += n;
-  if (options_.enable_cache) {
-    // Approximate under concurrent Translate calls: evictions are counted
-    // against whichever call observes them.
-    out.stats.cache_evictions += cache_.stats().evictions - evictions_before;
-  }
   join_span.End();
   {
     Span filter_span(trace, "filter", root_id);
@@ -1016,6 +1009,15 @@ void TranslationService::UpdateGauges() const {
       ->gauge("qmap_store_live_records",
               "Live records indexed by the persistent translation store.")
       .Set(store_ != nullptr ? static_cast<int64_t>(store_->num_entries()) : 0);
+  const InternStats intern = QueryInternStats();
+  metrics
+      ->gauge("qmap_intern_query_live_nodes",
+              "Query nodes currently in the process-wide intern table.")
+      .Set(static_cast<int64_t>(intern.query_live));
+  metrics
+      ->gauge("qmap_intern_constraint_live_nodes",
+              "Constraints currently in the process-wide intern table.")
+      .Set(static_cast<int64_t>(intern.constraint_live));
   for (const SourceEntry& source : sources_) {
     CircuitBreaker::State state =
         resilience_ != nullptr ? resilience_->breaker_state(source.name)

@@ -361,6 +361,14 @@ TEST_F(ServiceAdminTest, VarzIsParseableJsonWithStatusAndMetrics) {
   ASSERT_NE(metrics->Find("gauges"), nullptr);
   // The point-in-time gauges were refreshed by the handler.
   EXPECT_NE(metrics->Find("gauges")->Find("qmap_cache_entries"), nullptr);
+  // So were the intern tables' live sizes; the fixture's cached
+  // translations keep nodes alive.
+  const JsonValue* live =
+      metrics->Find("gauges")->Find("qmap_intern_query_live_nodes");
+  ASSERT_NE(live, nullptr);
+  EXPECT_GT(live->number, 0u);
+  EXPECT_NE(metrics->Find("gauges")->Find("qmap_intern_constraint_live_nodes"),
+            nullptr);
 }
 
 TEST_F(ServiceAdminTest, MetricsExpositionIsMonotoneWithInfEqualToCount) {

@@ -1,6 +1,8 @@
 // Tests for the hash-consed query IR (DESIGN.md §9): interned node identity,
 // fingerprint semantics, the QMAP_DISABLE_INTERN toggle, intern-table stats
-// and metrics, and the fingerprint-keyed cache key types.
+// and metrics, the fingerprint-keyed cache key types, the live-set table
+// lifetime (nodes leave the tables with their last handle), and identity
+// under construction racing destruction (InternConcurrency, run under TSan).
 //
 // The headline properties, randomized over synthetic queries:
 //   1. Under canonical construction, fingerprints are equal iff the queries
@@ -15,8 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
+#include <mutex>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qmap/contexts/synthetic.h"
@@ -208,32 +214,184 @@ TEST(MatchMemoKey, OrderSensitiveAndStable) {
   EXPECT_NE(MatchMemo::KeyOf(ab), MatchMemo::KeyOf({ab[0]}));
 }
 
-TEST(TranslationCacheKeyTest, TypedAndStringPathsCoexist) {
+TEST(TranslationCacheKeyTest, KeysDifferingInOneHalfCoexist) {
   TranslationCache cache(TranslationCacheOptions{});
   Translation t1;
   t1.mapped = Q("[a = 1]");
   Translation t2;
   t2.mapped = Q("[b = 2]");
 
-  TranslationCacheKey typed{0x1234, 0x5678};
-  cache.Put(typed, t1);
-  cache.Put("legacy-key", t2);
+  TranslationCacheKey first{0x1234, 0x5678, 0x9abc};
+  TranslationCacheKey second{0x1234, 0x5679, 0x9abc};  // rule set differs
+  cache.Put(first, t1);
+  cache.Put(second, t2);
 
-  auto hit_typed = cache.Get(typed);
-  ASSERT_TRUE(hit_typed.has_value());
-  EXPECT_EQ(hit_typed->mapped.ToString(), "[a = 1]");
+  auto hit_first = cache.Get(first);
+  ASSERT_TRUE(hit_first.has_value());
+  EXPECT_EQ(hit_first->mapped.ToString(), "[a = 1]");
 
-  // The string path folds into the same store via KeyOfString: hits via the
-  // same string, misses via a different one, and the folded key is distinct
-  // from the typed key above.
-  auto hit_string = cache.Get("legacy-key");
-  ASSERT_TRUE(hit_string.has_value());
-  EXPECT_EQ(hit_string->mapped.ToString(), "[b = 2]");
-  EXPECT_FALSE(cache.Get("other-key").has_value());
+  // Each key hits its own entry, and a key differing in yet another half
+  // misses.
+  auto hit_second = cache.Get(second);
+  ASSERT_TRUE(hit_second.has_value());
+  EXPECT_EQ(hit_second->mapped.ToString(), "[b = 2]");
+  EXPECT_FALSE(cache.Get(TranslationCacheKey{0x1235, 0x5678, 0x9abc})
+                   .has_value());
   EXPECT_EQ(cache.size(), 2u);
   TranslationCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Table lifetime: the tables hold only what is alive.
+
+// The i-th query of a family of distinct structures: a conjunction over a
+// disjunction, with leaves that recur across neighbouring i so that
+// building and dropping also churns shared sub-structure.
+Query DistinctQuery(int i) {
+  auto leaf = [](const std::string& attr, int64_t v) {
+    return Query::Leaf(MakeSel(Attr::Simple(attr), Op::kEq, Value::Int(v)));
+  };
+  return Query::And({leaf("id", i),
+                     Query::Or({leaf("x", i % 7), leaf("y", i % 5)}),
+                     leaf("z", i % 3)});
+}
+
+TEST(Intern, TableIsBoundedByWhatIsAlive) {
+  InternToggle on(true);
+  const InternStats start = QueryInternStats();
+  constexpr int kQueries = 10000;
+  constexpr int kBatch = 100;
+  for (int base = 0; base < kQueries; base += kBatch) {
+    std::vector<Query> batch;
+    for (int i = base; i < base + kBatch; ++i) {
+      batch.push_back(DistinctQuery(i));
+    }
+    // While held, every batch member has its own root in the table.
+    EXPECT_GE(QueryInternStats().query_live, start.query_live + kBatch);
+  }
+  const InternStats end = QueryInternStats();
+  EXPECT_EQ(end.query_live, start.query_live);
+  EXPECT_EQ(end.constraint_live, start.constraint_live);
+  // The counts of insertions stay cumulative: every distinct root was new.
+  EXPECT_GE(end.query_nodes, start.query_nodes + kQueries);
+  EXPECT_GE(end.constraint_nodes, start.constraint_nodes + kQueries);
+  EXPECT_EQ(end.query_nodes, end.query_misses);
+  EXPECT_EQ(end.constraint_nodes, end.constraint_misses);
+}
+
+TEST(Intern, LiveStructuresShareIdentityAndRebuildAfterDrop) {
+  InternToggle on(true);
+  const InternStats start = QueryInternStats();
+  const std::string text = "([lifetime_probe = 1] or [lifetime_probe = 2]) "
+                           "and [lifetime_other contains \"w\"]";
+  std::string printed;
+  uint64_t fingerprint = 0;
+  {
+    Query a = Q(text);
+    Query b = Q(text);
+    EXPECT_EQ(a.identity(), b.identity());
+    EXPECT_EQ(&a.children()[1].constraint(), &b.children()[1].constraint());
+    EXPECT_GT(QueryInternStats().query_live, start.query_live);
+    printed = a.ToString();
+    fingerprint = a.fingerprint();
+  }
+  // Every handle is gone, so the whole structure left the tables.
+  EXPECT_EQ(QueryInternStats().query_live, start.query_live);
+  EXPECT_EQ(QueryInternStats().constraint_live, start.constraint_live);
+
+  Query rebuilt = Q(text);
+  EXPECT_EQ(rebuilt.ToString(), printed);
+  EXPECT_EQ(rebuilt.fingerprint(), fingerprint);
+  // Interned again: a second live copy shares its node and the tables hold
+  // it (5 nodes: the ∧, the ∨ and three leaves over 3 constraints).
+  Query again = Q(text);
+  EXPECT_EQ(again.identity(), rebuilt.identity());
+  EXPECT_EQ(QueryInternStats().query_live, start.query_live + 5);
+  EXPECT_EQ(QueryInternStats().constraint_live, start.constraint_live + 3);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrency: construction racing destruction of the same structures.
+
+constexpr int kInternThreads = 8;
+
+// Rounds in lock step: every thread builds the same structure, all compare
+// identities while every copy is alive, then all drop it. Structures recur
+// every few rounds and share leaves, so a round's builds race the previous
+// round's last drops (an exact entry whose node is dying must read absent).
+TEST(InternConcurrency, EqualLiveStructuresShareIdentity) {
+  InternToggle on(true);
+  const InternStats start = QueryInternStats();
+  constexpr int kRounds = 400;
+  std::barrier sync(kInternThreads);
+  std::vector<const void*> ids(kInternThreads);
+  std::vector<const void*> leaf_ids(kInternThreads);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kInternThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        Query q = DistinctQuery(round % 11);
+        ids[t] = q.identity();
+        leaf_ids[t] = q.children().back().identity();
+        sync.arrive_and_wait();
+        for (int other = 0; other < kInternThreads; ++other) {
+          if (ids[other] != ids[t] || leaf_ids[other] != leaf_ids[t]) {
+            mismatches.fetch_add(1);
+          }
+        }
+        sync.arrive_and_wait();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(QueryInternStats().query_live, start.query_live);
+  EXPECT_EQ(QueryInternStats().constraint_live, start.constraint_live);
+}
+
+// Free-running churn over a small universe of overlapping structures: each
+// slot holds at most one live copy of its structure, and any copy a thread
+// builds while the slot is occupied must be that very node.
+TEST(InternConcurrency, ChurnKeepsLiveCopiesCanonical) {
+  InternToggle on(true);
+  const InternStats start = QueryInternStats();
+  constexpr int kSlots = 24;
+  constexpr int kIterations = 4000;
+  struct Slot {
+    std::mutex mu;
+    Query held;  // guarded by mu; True when empty
+  };
+  std::vector<Slot> slots(kSlots);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kInternThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<uint32_t>(1000 + t));
+      for (int i = 0; i < kIterations; ++i) {
+        const int j = static_cast<int>(rng() % kSlots);
+        Query built = DistinctQuery(j);
+        Query dropped;  // released after the slot lock, like the cache does
+        std::lock_guard<std::mutex> lock(slots[j].mu);
+        Query& held = slots[j].held;
+        if (!held.is_true() && held.identity() != built.identity()) {
+          mismatches.fetch_add(1);
+        }
+        if (rng() % 2 == 0) {
+          std::swap(dropped, held);
+        } else {
+          held = built;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (Slot& slot : slots) slot.held = Query::True();
+  EXPECT_EQ(QueryInternStats().query_live, start.query_live);
+  EXPECT_EQ(QueryInternStats().constraint_live, start.constraint_live);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <latch>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qmap/contexts/faculty.h"
 #include "qmap/contexts/synthetic.h"
+#include "qmap/expr/intern.h"
 #include "qmap/expr/printer.h"
 #include "qmap/obs/metrics.h"
 #include "qmap/service/thread_pool.h"
@@ -62,6 +65,16 @@ TEST(ThreadPool, ClampsToAtLeastOneWorker) {
 // ---------------------------------------------------------------------------
 // TranslationCache
 
+// Distinct typed keys; only the query half varies, as for one source under
+// one rule set.
+constexpr TranslationCacheKey kK1{1, 2, 0x11};
+constexpr TranslationCacheKey kK2{1, 2, 0x12};
+constexpr TranslationCacheKey kK{1, 2, 0x13};
+constexpr TranslationCacheKey kOther{1, 2, 0x14};
+constexpr TranslationCacheKey kA{1, 2, 0xa};
+constexpr TranslationCacheKey kB{1, 2, 0xb};
+constexpr TranslationCacheKey kC{1, 2, 0xc};
+
 Translation DummyTranslation(const std::string& text) {
   Translation t;
   t.mapped = Query::Leaf(MakeSel(Attr::Simple("x"), Op::kEq, Value::Str(text)));
@@ -70,11 +83,11 @@ Translation DummyTranslation(const std::string& text) {
 
 TEST(TranslationCache, GetAfterPutReturnsValue) {
   TranslationCache cache({.capacity = 8, .shards = 2});
-  cache.Put("k1", DummyTranslation("v1"));
-  std::optional<Translation> hit = cache.Get("k1");
+  cache.Put(kK1, DummyTranslation("v1"));
+  std::optional<Translation> hit = cache.Get(kK1);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->mapped.ToString(), "[x = \"v1\"]");
-  EXPECT_FALSE(cache.Get("k2").has_value());
+  EXPECT_FALSE(cache.Get(kK2).has_value());
   TranslationCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -84,23 +97,23 @@ TEST(TranslationCache, GetAfterPutReturnsValue) {
 TEST(TranslationCache, EvictsLeastRecentlyUsed) {
   // Single shard so LRU order is global.
   TranslationCache cache({.capacity = 2, .shards = 1});
-  cache.Put("a", DummyTranslation("a"));
-  cache.Put("b", DummyTranslation("b"));
-  ASSERT_TRUE(cache.Get("a").has_value());  // refresh a; b is now LRU
-  cache.Put("c", DummyTranslation("c"));    // evicts b
+  cache.Put(kA, DummyTranslation("a"));
+  cache.Put(kB, DummyTranslation("b"));
+  ASSERT_TRUE(cache.Get(kA).has_value());  // refresh a; b is now LRU
+  cache.Put(kC, DummyTranslation("c"));    // evicts b
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_FALSE(cache.Get("b").has_value());
-  EXPECT_TRUE(cache.Get("a").has_value());
-  EXPECT_TRUE(cache.Get("c").has_value());
+  EXPECT_FALSE(cache.Get(kB).has_value());
+  EXPECT_TRUE(cache.Get(kA).has_value());
+  EXPECT_TRUE(cache.Get(kC).has_value());
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(TranslationCache, PutOverwritesExistingKey) {
   TranslationCache cache({.capacity = 4, .shards = 1});
-  cache.Put("k", DummyTranslation("old"));
-  cache.Put("k", DummyTranslation("new"));
+  cache.Put(kK, DummyTranslation("old"));
+  cache.Put(kK, DummyTranslation("new"));
   EXPECT_EQ(cache.size(), 1u);
-  std::optional<Translation> hit = cache.Get("k");
+  std::optional<Translation> hit = cache.Get(kK);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->mapped.ToString(), "[x = \"new\"]");
 }
@@ -109,9 +122,9 @@ TEST(TranslationCache, CountsExistingKeyUpdatesSeparately) {
   TranslationCache cache({.capacity = 4, .shards = 1});
   MetricsRegistry registry;
   cache.AttachMetrics(&registry);
-  cache.Put("k", DummyTranslation("v1"));
-  cache.Put("k", DummyTranslation("v2"));
-  cache.Put("other", DummyTranslation("x"));
+  cache.Put(kK, DummyTranslation("v1"));
+  cache.Put(kK, DummyTranslation("v2"));
+  cache.Put(kOther, DummyTranslation("x"));
   TranslationCacheStats stats = cache.stats();
   EXPECT_EQ(stats.insertions, 2u);
   EXPECT_EQ(stats.updates, 1u);
@@ -127,22 +140,22 @@ TEST(TranslationCache, DetachMetricsIfOnlySeversTheAttachedRegistry) {
   cache.AttachMetrics(&current);
   // A stale owner's detach must not clobber the live attachment...
   cache.DetachMetricsIf(&stale);
-  cache.Put("k", DummyTranslation("v"));
+  cache.Put(kK, DummyTranslation("v"));
   EXPECT_EQ(current.counter("qmap_cache_insertions_total").value(), 1u);
   // ...while the real owner's detach severs it before the registry dies.
   cache.DetachMetricsIf(&current);
-  cache.Put("k2", DummyTranslation("v2"));
+  cache.Put(kK2, DummyTranslation("v2"));
   EXPECT_EQ(current.counter("qmap_cache_insertions_total").value(), 1u);
   EXPECT_EQ(cache.stats().insertions, 2u);
 }
 
 TEST(TranslationCache, ClearDropsEntriesKeepsCounters) {
   TranslationCache cache({.capacity = 8, .shards = 4});
-  cache.Put("a", DummyTranslation("a"));
-  ASSERT_TRUE(cache.Get("a").has_value());
+  cache.Put(kA, DummyTranslation("a"));
+  ASSERT_TRUE(cache.Get(kA).has_value());
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Get("a").has_value());
+  EXPECT_FALSE(cache.Get(kA).has_value());
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -302,6 +315,71 @@ TEST(TranslationService, CacheEvictionStillCorrect) {
     }
   }
   EXPECT_GT(tiny->stats().cache.evictions, 0u);
+}
+
+// The i-th of a stream of distinct queries over the synthetic attributes.
+Query DistinctServiceQuery(int i) {
+  auto leaf = [](int attr, int64_t v) {
+    return Query::Leaf(MakeSel(Attr::Simple("a" + std::to_string(attr)),
+                               Op::kEq, Value::Int(v)));
+  };
+  return Query::And({leaf(i % 8, i),
+                     Query::Or({leaf((i + 1) % 8, i % 13), leaf((i + 3) % 8, 7)})});
+}
+
+TEST(TranslationService, PerCallEvictionsSumToTheCacheCounter) {
+  ServiceOptions options;
+  options.num_threads = 4;
+  options.cache = {.capacity = 3, .shards = 1};
+  TranslationService service(options);
+  for (auto& [name, spec] : SyntheticFederation()) service.AddSource(name, spec);
+  const uint64_t before = service.stats().cache.evictions;
+
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 50;
+  std::atomic<uint64_t> reported{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        // Overlapping streams, so some calls hit what another just put.
+        Result<MediatorTranslation> t =
+            service.Translate(DistinctServiceQuery(c * kPerClient / 2 + i));
+        EXPECT_TRUE(t.ok()) << t.status().ToString();
+        if (t.ok()) reported.fetch_add(t->stats.cache_evictions);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  const uint64_t evicted = service.stats().cache.evictions - before;
+  EXPECT_GT(evicted, 0u);
+  EXPECT_EQ(reported.load(), evicted);
+}
+
+TEST(TranslationService, LiveInternNodesAreBoundedByTheCache) {
+  constexpr size_t kCapacity = 64;
+  auto service = MakeService(4, true, kCapacity);
+  const InternStats start = QueryInternStats();
+  // The most nodes one cache entry (a per-source translation) can hold.
+  int max_entry_nodes = 0;
+  constexpr int kQueries = 5000;
+  for (int i = 0; i < kQueries; ++i) {
+    Result<MediatorTranslation> t = service->Translate(DistinctServiceQuery(i));
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    for (const auto& [name, translation] : t->per_source) {
+      max_entry_nodes = std::max(max_entry_nodes,
+                                 translation.mapped.NodeCount() +
+                                     translation.filter.NodeCount());
+    }
+  }
+  const InternStats end = QueryInternStats();
+  ASSERT_LE(service->stats().cache.insertions - service->stats().cache.evictions,
+            kCapacity);
+  // Every query inserted fresh nodes, but only what the cache still holds
+  // stays in the tables.
+  EXPECT_GE(end.query_nodes - start.query_nodes, static_cast<uint64_t>(kQueries));
+  EXPECT_LE(end.query_live, start.query_live + kCapacity * max_entry_nodes);
+  EXPECT_LE(end.constraint_live, start.constraint_live + kCapacity * max_entry_nodes);
 }
 
 TEST(TranslationService, BatchMatchesIndividualTranslates) {
