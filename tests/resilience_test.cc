@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <latch>
 #include <memory>
 #include <string>
@@ -569,6 +570,124 @@ TEST(ResilientService, ParallelFanOutMatchesSerialUnderFaults) {
     return out;
   };
   EXPECT_EQ(run(1), run(4));
+}
+
+// The "only k of n" availability verdict inside a min_sources rejection
+// (empty when the status carries none).
+std::string KOfN(const Status& status) {
+  const std::string& message = status.message();
+  const size_t start = message.find("only ");
+  if (start == std::string::npos) return "";
+  const size_t of = message.find(" of ", start);
+  if (of == std::string::npos) return "";
+  size_t end = of + 4;
+  while (end < message.size() && message[end] >= '0' && message[end] <= '9') {
+    ++end;
+  }
+  return message.substr(start, end - start);
+}
+
+// One fault script, every integration: Mediator::Translate, the service at 1
+// and at 4 threads (cache off) and FederatedCatalog::Query run the same
+// 4-source synthetic federation, each with its own injector. The join paths
+// must agree byte-for-byte on S_i(Q), F and the partial report; the union
+// path (which builds no merged F) on the partial report and the "k of n"
+// verdict.
+TEST(ResilientIntegration, FanOutsAgreeUnderFaults) {
+  struct Case {
+    const char* name;
+    std::function<void(FaultInjector*)> script;
+    size_t min_sources = 1;
+  };
+  const std::vector<Case> cases = {
+      {"one source dropped",
+       [](FaultInjector* f) { f->FailNext("S1", 1000); }},
+      {"one source degraded",
+       [](FaultInjector* f) { f->DegradeNext("S2", 1000); }},
+      {"min_sources reject",
+       [](FaultInjector* f) {
+         f->FailNext("S0", 1000);
+         f->FailNext("S3", 1000);
+       },
+       3},
+      {"all sources down",
+       [](FaultInjector* f) {
+         for (int m = 0; m < kNumSources; ++m) {
+           f->FailNext("S" + std::to_string(m), 1000);
+         }
+       }},
+      {"non-drop failure",
+       [](FaultInjector* f) {
+         f->FailNext("S0", 1000);
+         f->FailNext("S2", 1000, Status::InvalidArgument("injected bad spec"));
+       }},
+  };
+  const std::vector<Query> queries = {
+      Q("([a0 = 1] or [a1 = 2]) and [a2 = 3] and [a3 = 0]"),
+      Q("[a0 = 2] and ([a1 = 1] or [a2 = 2])"),
+      Q("[a4 = 1] and [a5 = 3]"),
+  };
+  const auto join_outcome = [](const Result<MediatorTranslation>& got) {
+    if (!got.ok()) return got.status().ToString();
+    return got->partial.ToString() + "\n" + Render(*got);
+  };
+  // What the union path can be compared on: the partial report, or the
+  // failure code plus its "k of n" verdict.
+  const auto union_view = [](const Status& status,
+                             const PartialResult* partial) {
+    if (status.ok()) return partial->ToString();
+    return std::to_string(static_cast<int>(status.code())) + " " +
+           KOfN(status);
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ResilienceOptions resilience;
+    resilience.enabled = true;
+    resilience.retry.max_attempts = 2;
+    resilience.min_sources = c.min_sources;
+    SyntheticFederationOptions fed;
+    fed.num_members = kNumSources;
+
+    FaultInjector mediator_injector(7);
+    c.script(&mediator_injector);
+    ManualClock mediator_clock;
+    Mediator mediator;
+    for (int m = 0; m < kNumSources; ++m) {
+      Result<MappingSpec> spec =
+          MakeSyntheticSpec(SyntheticMemberOptions(fed, m));
+      ASSERT_TRUE(spec.ok());
+      mediator.AddSource(SourceContext("S" + std::to_string(m), *spec));
+    }
+    mediator.SetResilience(resilience, &mediator_clock, &mediator_injector);
+
+    FaultInjector serial_injector(7), parallel_injector(7), union_injector(7);
+    c.script(&serial_injector);
+    c.script(&parallel_injector);
+    c.script(&union_injector);
+    ManualClock serial_clock, parallel_clock, union_clock;
+    auto serial = MakeResilientService(&serial_injector, &serial_clock,
+                                       resilience, /*num_threads=*/1);
+    auto parallel = MakeResilientService(&parallel_injector, &parallel_clock,
+                                         resilience, /*num_threads=*/4);
+    Result<FederatedCatalog> catalog = MakeSyntheticFederation(fed);
+    ASSERT_TRUE(catalog.ok());
+    catalog->SetResilience(resilience, &union_clock, &union_injector);
+
+    for (const Query& q : queries) {
+      Result<MediatorTranslation> via_mediator = mediator.Translate(q);
+      const std::string want = join_outcome(via_mediator);
+      EXPECT_EQ(join_outcome(serial->Translate(q)), want);
+      EXPECT_EQ(join_outcome(parallel->Translate(q)), want);
+
+      Result<FederatedCatalog::FederatedResult> via_union = catalog->Query(q);
+      EXPECT_EQ(
+          union_view(via_union.status(),
+                     via_union.ok() ? &via_union->partial : nullptr),
+          union_view(via_mediator.status(),
+                     via_mediator.ok() ? &via_mediator->partial : nullptr));
+    }
+  }
 }
 
 // The cancellation/lifetime regression: a deadline that expires mid-fan-out
