@@ -1,6 +1,6 @@
 #include "qmap/mediator/federation.h"
 
-#include <algorithm>
+#include "qmap/obs/trace.h"
 
 namespace qmap {
 
@@ -12,77 +12,82 @@ void FederatedCatalog::SetResilience(const ResilienceOptions& options,
       std::make_shared<ResilienceManager>(options, clock, injector, metrics);
 }
 
-Result<FederatedCatalog::FederatedResult> FederatedCatalog::Query(
-    const qmap::Query& query) const {
-  FederatedResult out;
-  CancelToken token;
-  const CancelToken* cancel = nullptr;
-  if (resilience_ != nullptr &&
-      resilience_->options().request_deadline_us > 0) {
-    token.budget = DeadlineBudget{}.Narrowed(
-        resilience_->clock()->NowUs(),
-        resilience_->options().request_deadline_us);
-    cancel = &token;
+// The members as the fan-out core sees them: each member's guarded
+// translate, followed by its data-conversion check.
+class FederatedCatalog::FanOutSources : public FanOut::Sources {
+ public:
+  FanOutSources(const FederatedCatalog& catalog, const FanOut& fanout,
+                const qmap::Query& query)
+      : catalog_(catalog), fanout_(fanout), query_(query) {}
+
+  size_t size() const override { return catalog_.members_.size(); }
+  const std::string& name(size_t i) const override {
+    return catalog_.members_[i].name;
   }
-  for (const Member& member : members_) {
-    ResilienceManager::CallReport report;
-    const auto attempt = [&] {
-      return member.transport->Translate(query, /*trace=*/nullptr,
-                                         /*parent_span=*/0, /*memo=*/nullptr,
-                                         cancel);
-    };
-    Result<Translation> translation =
-        resilience_ != nullptr
-            ? resilience_->GuardedTranslate(member.name, query, cancel, attempt,
-                                            &report)
-            : attempt();
-    Status member_status = translation.status();
+  Result<Translation> Translate(
+      size_t i, const CancelToken* cancel, Trace* trace, uint64_t parent_span,
+      ResilienceManager::CallReport* report) const override {
+    const Member& member = catalog_.members_[i];
+    Result<Translation> translation = fanout_.Guarded(
+        member.name, query_, cancel,
+        [&] {
+          return member.transport->Translate(query_, trace, parent_span,
+                                             /*memo=*/nullptr, cancel);
+        },
+        report, trace, parent_span);
     // The data-conversion direction is a source call too: a fault scripted
     // under "<member>.convert" drops the member even though its translation
     // succeeded (e.g. a conversion service being down).
-    if (member_status.ok() && resilience_ != nullptr &&
-        resilience_->injector() != nullptr) {
-      Fault fault = resilience_->injector()->Next(member.name + ".convert");
+    const ResilienceManager* resilience = catalog_.resilience_.get();
+    if (translation.ok() && resilience != nullptr &&
+        resilience->injector() != nullptr) {
+      Fault fault = resilience->injector()->Next(member.name + ".convert");
       if (fault.kind == FaultKind::kFail) {
-        member_status = fault.status.ok()
-                            ? Status::Unavailable("injected conversion fault")
-                            : fault.status;
+        return fault.status.ok()
+                   ? Status::Unavailable("injected conversion fault")
+                   : fault.status;
       }
     }
-    if (!member_status.ok()) {
-      if (resilience_ != nullptr && resilience_->options().allow_partial &&
-          IsSourceDropFailure(member_status.code())) {
-        out.partial.failed.push_back(
-            {member.name, member_status, report.attempts});
-        continue;
-      }
-      return member_status;
-    }
-    if (report.degraded) out.partial.degraded.push_back(member.name);
+    return translation;
+  }
+
+ private:
+  const FederatedCatalog& catalog_;
+  const FanOut& fanout_;
+  const qmap::Query& query_;
+};
+
+Result<FederatedCatalog::FederatedResult> FederatedCatalog::Query(
+    const qmap::Query& query) const {
+  const FanOut fanout(resilience_.get());
+  CancelToken token;
+  const CancelToken* cancel = fanout.RequestToken(&token);
+  Span untraced;
+  Result<MediatorTranslation> translated =
+      fanout.Run(query, FanOutSources(*this, fanout, query),
+                 Integration::kUnion, cancel, untraced);
+  if (!translated.ok()) return translated.status();
+  FederatedResult out;
+  out.partial = std::move(translated->partial);
+  for (const Member& member : members_) {
+    auto it = translated->per_source.find(member.name);
+    if (it == translated->per_source.end()) continue;  // dropped: see partial
+    const Translation& translation = it->second;
     MemberResult result;
     result.name = member.name;
-    result.pushed = translation->mapped;
-    result.filter = translation->filter;
+    result.pushed = translation.mapped;
+    result.filter = translation.filter;
     TupleSet hits;
     for (const Tuple& tuple : member.data) {
-      if (EvalQuery(translation->mapped, member.convert(tuple), member.semantics)) {
+      if (EvalQuery(translation.mapped, member.convert(tuple),
+                    member.semantics)) {
         hits.push_back(tuple);
       }
     }
     result.raw_hits = hits.size();
-    result.tuples = Select(hits, translation->filter);
+    result.tuples = Select(hits, translation.filter);
     out.combined = Union(out.combined, result.tuples);
     out.per_member.push_back(std::move(result));
-  }
-  if (resilience_ != nullptr && !out.partial.failed.empty()) {
-    const size_t survivors = members_.size() - out.partial.failed.size();
-    if (survivors < std::max<size_t>(1, resilience_->options().min_sources)) {
-      return Status::Unavailable(
-          "only " + std::to_string(survivors) + " of " +
-          std::to_string(members_.size()) +
-          " members available: " + out.partial.ToString());
-    }
-    resilience_->RecordPartialResult(out.partial.failed.size());
   }
   return out;
 }

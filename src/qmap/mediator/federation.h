@@ -8,6 +8,7 @@
 
 #include "qmap/core/translator.h"
 #include "qmap/relalg/ops.h"
+#include "qmap/service/fanout.h"
 #include "qmap/service/resilience.h"
 #include "qmap/service/source_transport.h"
 
@@ -71,10 +72,13 @@ class FederatedCatalog {
   /// Translates Q for every member, queries each (push S_i(Q) against the
   /// member's converted data, filter with F_i), and unions the results.
   ///
-  /// With resilience enabled (SetResilience), each member's translate runs
-  /// under retry/breaker/deadline guards, and per-tuple data conversion is
+  /// The translations run through the shared fan-out core
+  /// (qmap/service/fanout.h) as a union: no merged F. With resilience
+  /// enabled (SetResilience), each member's translate runs under
+  /// retry/breaker/deadline guards, and per-tuple data conversion is
   /// fault-injectable under the key "<member>.convert"; failing members are
-  /// dropped into `partial` instead of failing the query.
+  /// dropped into `partial` instead of failing the query. Member names must
+  /// be unique: they key the fan-out's per-source answers.
   Result<FederatedResult> Query(const qmap::Query& query) const;
 
   /// Enables graceful degradation for Query (see ResilienceOptions). Null
@@ -91,6 +95,8 @@ class FederatedCatalog {
   TupleSet QueryDirect(const qmap::Query& query) const;
 
  private:
+  class FanOutSources;
+
   std::vector<Member> members_;
   std::shared_ptr<ResilienceManager> resilience_;
 };

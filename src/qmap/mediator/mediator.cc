@@ -6,6 +6,8 @@
 namespace qmap {
 
 void Mediator::AddSource(SourceContext source) {
+  in_process_.push_back(std::make_shared<InProcessTransport>(
+      Translator(source.spec(), options_)));
   sources_.push_back(std::move(source));
 }
 
@@ -52,87 +54,49 @@ void Mediator::SetResilience(const ResilienceOptions& options,
       std::make_shared<ResilienceManager>(options, clock, injector, metrics);
 }
 
+// The mediator's sources as the fan-out core sees them: each source's
+// transport (an override, or its in-process translator) under the guards.
+class Mediator::FanOutSources : public FanOut::Sources {
+ public:
+  FanOutSources(const Mediator& mediator, const FanOut& fanout,
+                const Query& full)
+      : mediator_(mediator), fanout_(fanout), full_(full) {}
+
+  size_t size() const override { return mediator_.sources_.size(); }
+  const std::string& name(size_t i) const override {
+    return mediator_.sources_[i].name();
+  }
+  Result<Translation> Translate(
+      size_t i, const CancelToken* cancel, Trace* trace, uint64_t parent_span,
+      ResilienceManager::CallReport* report) const override {
+    auto it = mediator_.transports_.find(name(i));
+    SourceTransport* transport = it != mediator_.transports_.end()
+                                     ? it->second.get()
+                                     : mediator_.in_process_[i].get();
+    return fanout_.Guarded(
+        name(i), full_, cancel,
+        [&] {
+          return transport->Translate(full_, trace, parent_span,
+                                      /*memo=*/nullptr, cancel);
+        },
+        report, trace, parent_span);
+  }
+
+ private:
+  const Mediator& mediator_;
+  const FanOut& fanout_;
+  const Query& full_;
+};
+
 Result<MediatorTranslation> Mediator::Translate(const Query& query, Trace* trace,
                                                 uint64_t parent_span) const {
   Span root(trace, "mediator.translate", parent_span);
-  Query full = query & view_constraints_;
-  MediatorTranslation out;
-  std::vector<const ExactCoverage*> coverages;
+  const Query full = query & view_constraints_;
+  const FanOut fanout(resilience_.get());
   CancelToken token;
-  const CancelToken* cancel = nullptr;
-  if (resilience_ != nullptr &&
-      resilience_->options().request_deadline_us > 0) {
-    token.budget = DeadlineBudget{}.Narrowed(
-        resilience_->clock()->NowUs(),
-        resilience_->options().request_deadline_us);
-    cancel = &token;
-  }
-  for (const SourceContext& source : sources_) {
-    Span source_span(trace, "source.translate", root.id());
-    if (source_span.enabled()) source_span.AddAttr("source", source.name());
-    auto transport_it = transports_.find(source.name());
-    std::shared_ptr<SourceTransport> transport =
-        transport_it != transports_.end()
-            ? transport_it->second
-            : std::make_shared<InProcessTransport>(
-                  Translator(source.spec(), options_));
-    ResilienceManager::CallReport report;
-    const auto attempt = [&] {
-      return transport->Translate(full, trace, source_span.id(),
-                                  /*memo=*/nullptr, cancel);
-    };
-    Result<Translation> translation =
-        resilience_ != nullptr
-            ? resilience_->GuardedTranslate(source.name(), full, cancel,
-                                            attempt, &report, trace,
-                                            source_span.id())
-            : attempt();
-    out.stats.retries += report.retries;
-    out.stats.deadline_hits += report.deadline_hit ? 1 : 0;
-    out.stats.breaker_rejections += report.breaker_rejected ? 1 : 0;
-    if (!translation.ok()) {
-      // With partial tolerance on, a transiently failing source is dropped
-      // into the PartialResult instead of failing the whole translation;
-      // its exact coverage never reaches `coverages`, so F keeps every
-      // constraint only that source would have realized.
-      if (resilience_ != nullptr && resilience_->options().allow_partial &&
-          IsSourceDropFailure(translation.status().code())) {
-        out.partial.failed.push_back(
-            {source.name(), translation.status(), report.attempts});
-        out.stats.failed_sources += 1;
-        continue;
-      }
-      return translation.status();
-    }
-    if (report.degraded) {
-      out.partial.degraded.push_back(source.name());
-      out.stats.degraded_sources += 1;
-    }
-    source_span.SetStats(translation->stats);
-    out.stats.MergeFrom(translation->stats);
-    auto [slot, inserted] =
-        out.per_source.emplace(source.name(), *std::move(translation));
-    if (inserted) coverages.push_back(&slot->second.coverage);
-  }
-  if (resilience_ != nullptr && !out.partial.failed.empty()) {
-    const size_t survivors = sources_.size() - out.partial.failed.size();
-    if (survivors < std::max<size_t>(1, resilience_->options().min_sources)) {
-      return Status::Unavailable(
-          "only " + std::to_string(survivors) + " of " +
-          std::to_string(sources_.size()) +
-          " sources available: " + out.partial.ToString());
-    }
-    resilience_->RecordPartialResult(out.partial.failed.size());
-    if (root.enabled()) root.AddAttr("partial", out.partial.ToString());
-  }
-  // A constraint stays in F unless some source covered it exactly; a
-  // disjunction stays unless one single source covers all its leaves.
-  {
-    Span filter_span(trace, "filter", root.id());
-    out.filter = MergedResidueFilter(full, coverages);
-  }
-  root.SetStats(out.stats);
-  return out;
+  const CancelToken* cancel = fanout.RequestToken(&token);
+  return fanout.Run(full, FanOutSources(*this, fanout, full),
+                    Integration::kJoin, cancel, root);
 }
 
 Result<TupleSet> Mediator::ConvertedCross(const MediatorTranslation* translation) const {

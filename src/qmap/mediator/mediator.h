@@ -10,34 +10,11 @@
 #include "qmap/mediator/source.h"
 #include "qmap/rules/containment.h"
 #include "qmap/relalg/conversion.h"
+#include "qmap/service/fanout.h"
 #include "qmap/service/resilience.h"
 #include "qmap/service/source_transport.h"
 
 namespace qmap {
-
-/// The mediator's answer to "translate Q for everyone" (Eq. 3):
-/// Q = F ∧ S_1(Q) ∧ ... ∧ S_n(Q).
-struct MediatorTranslation {
-  /// S_i(Q), keyed by source name. Sources listed in `partial.failed` are
-  /// absent; sources in `partial.degraded` are present with a widened
-  /// (still subsuming) translation.
-  std::map<std::string, Translation> per_source;
-  /// The residue filter F: the original constraints not fully realized at
-  /// any source (plus cross-source view constraints, which no single source
-  /// can evaluate). Built from the *successful* sources' coverage only, so
-  /// a constraint that was exactly realized only at a failed or degraded
-  /// source moves back into F — that recomputation is what keeps partial
-  /// and degraded answers sound (Definition 1's subsumption guarantee).
-  Query filter;
-  /// Which sources were dropped or answered degraded (empty/complete unless
-  /// resilience is enabled — see qmap/service/resilience.h).
-  PartialResult partial;
-  /// Cost counters merged across all per-source translations (plus the
-  /// service layer's cache/parallelism counters when produced by a
-  /// TranslationService). Observability only: not part of the translation's
-  /// semantic payload.
-  TranslationStats stats;
-};
 
 /// A mediation pipeline over heterogeneous sources (Section 2): view
 /// expansion has already rewritten the user query into the constraint query
@@ -105,9 +82,10 @@ class Mediator {
 
   /// Translates `query` for every source and builds the combined filter:
   /// a constraint is dropped from F only if some source realizes it exactly.
-  /// With a trace attached, records a "mediator.translate" span under
-  /// `parent_span` with one "source.translate" child per source (attr
-  /// "source" = name, stats = that source's counters) plus a "filter" span.
+  /// Runs the shared fan-out core (qmap/service/fanout.h) inline, as a
+  /// join. With a trace attached, records a "mediator.translate" span under
+  /// `parent_span` with the core's "source.translate" (attr "source" =
+  /// name, stats = that source's counters), "join" and "filter" children.
   Result<MediatorTranslation> Translate(const Query& query,
                                         Trace* trace = nullptr,
                                         uint64_t parent_span = 0) const;
@@ -133,12 +111,18 @@ class Mediator {
   Result<TupleSet> ExecuteDirect(const Query& query) const;
 
  private:
+  class FanOutSources;
+
   Result<TupleSet> ConvertedCross(const MediatorTranslation* translation) const;
 
   TranslatorOptions options_;
   std::vector<SourceContext> sources_;
+  /// In-process transport of each source, parallel to sources_: built once
+  /// by AddSource, so the rule plan is compiled once per source, not per
+  /// call.
+  std::vector<std::shared_ptr<SourceTransport>> in_process_;
   /// Per-source transport overrides (see SetSourceTransport); sources not
-  /// listed translate in-process from their spec.
+  /// listed translate through their in_process_ entry.
   std::map<std::string, std::shared_ptr<SourceTransport>> transports_;
   std::vector<ConversionFn> conversions_;
   Query view_constraints_ = Query::True();

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <latch>
 #include <unordered_map>
 #include <utility>
 
 #include "qmap/common/fnv.h"
 #include "qmap/common/version.h"
-#include "qmap/core/filter.h"
 #include "qmap/core/match_memo.h"
 #include "qmap/expr/intern.h"
 #include "qmap/expr/printer.h"
@@ -150,44 +148,37 @@ void TranslationService::AddSource(std::string name, MappingSpec spec) {
 
 void TranslationService::AddSource(std::string name, MappingSpec spec,
                                    const SourceCapabilities& capabilities) {
-  SourceEntry entry;
-  // The context third of the typed cache key: source name plus the option
-  // flags that change translation output. The query third comes per-call
-  // from Query::fingerprint().
-  entry.cache_key_prefix = Fnv64()
-                               .Add(name)
-                               .AddByte(kKeySep)
-                               .Add(OptionsTag(options_.translator))
-                               .value();
   // The rule-set-version third: what the source *is*, separated from what
   // it is *called*. Cached entries — RAM and disk — minted under a
   // different rule set or capability declaration differ here and become
   // unreachable, which is the staleness guarantee the persistent store
   // relies on (DESIGN.md §10).
-  entry.rule_set_fp = Fnv64()
-                          .AddU64(spec.fingerprint())
-                          .AddByte(kKeySep)
-                          .AddU64(capabilities.Fingerprint())
-                          .value();
-  entry.name = std::move(name);
-  entry.transport = std::make_shared<InProcessTransport>(
-      Translator(std::move(spec), options_.translator));
-  entry.runtime = std::make_unique<SourceRuntime>();
-  auto pos = std::lower_bound(
-      sources_.begin(), sources_.end(), entry,
-      [](const SourceEntry& a, const SourceEntry& b) { return a.name < b.name; });
-  sources_.insert(pos, std::move(entry));
+  const uint64_t rule_set_fp = Fnv64()
+                                   .AddU64(spec.fingerprint())
+                                   .AddByte(kKeySep)
+                                   .AddU64(capabilities.Fingerprint())
+                                   .value();
+  Register(std::move(name), rule_set_fp,
+           std::make_shared<InProcessTransport>(
+               Translator(std::move(spec), options_.translator)));
   if (options_.prune_contained_sources) PruneContainedSources();
 }
 
 void TranslationService::AddRemoteSource(
     std::string name, uint64_t rule_set_fp,
     std::shared_ptr<SourceTransport> transport) {
+  // The rule-set-version third is the *worker's* advertised fingerprint:
+  // both tiers must go stale together when the worker's rules change.
+  Register(std::move(name), rule_set_fp, std::move(transport));
+}
+
+void TranslationService::Register(std::string name, uint64_t rule_set_fp,
+                                  std::shared_ptr<SourceTransport> transport) {
   SourceEntry entry;
-  // Same context-third derivation as AddSource — the cache key is local to
-  // this process — but the rule-set-version third is the *worker's*
-  // advertised fingerprint: both tiers must go stale together when the
-  // worker's rules change.
+  // The context third of the typed cache key: source name plus the option
+  // flags that change translation output. The cache key is local to this
+  // process, remote source or not. The query third comes per-call from
+  // Query::fingerprint().
   entry.cache_key_prefix = Fnv64()
                                .Add(name)
                                .AddByte(kKeySep)
@@ -361,14 +352,16 @@ Result<Translation> TranslationService::TranslateOne(
     SourceRuntime& runtime = *source.runtime;
     runtime.calls.fetch_add(1, std::memory_order_relaxed);
     runtime.in_flight.fetch_add(1, std::memory_order_relaxed);
-    Result<Translation> result =
-        resilience_ == nullptr
-            ? attempt()
-            : resilience_->GuardedTranslate(source.name, full, cancel, attempt,
-                                            report, trace, parent_span);
+    Result<Translation> result = FanOut(resilience_.get())
+                                     .Guarded(source.name, full, cancel,
+                                              attempt, report, trace,
+                                              parent_span);
     runtime.in_flight.fetch_sub(1, std::memory_order_relaxed);
     if (!result.ok()) {
       runtime.failures.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (report->retries > 0) {
+      runtime.retries.fetch_add(report->retries, std::memory_order_relaxed);
     }
     return result;
   };
@@ -413,7 +406,7 @@ Result<Translation> TranslationService::TranslateOne(
     }
     return translation;
   }
-  if (report == nullptr || !report->degraded) {
+  if (!report->degraded) {
     // Degraded (widened) translations are never cached or persisted: a
     // later healthy call must get the exact mapping back, not a poisoned
     // wide one — and a store record outlives the process, so persisting a
@@ -426,6 +419,33 @@ Result<Translation> TranslationService::TranslateOne(
   return translation;
 }
 
+// The registered sources as the fan-out core sees them: each call goes
+// through TranslateOne (cache → store → guarded translate).
+class TranslationService::FanOutSources : public FanOut::Sources {
+ public:
+  FanOutSources(const TranslationService& service, const Query& full,
+                const std::vector<std::unique_ptr<MatchMemo>>& memos)
+      : service_(service), full_(full), memos_(memos) {}
+
+  size_t size() const override { return service_.sources_.size(); }
+  const std::string& name(size_t i) const override {
+    return service_.sources_[i].name;
+  }
+  Result<Translation> Translate(
+      size_t i, const CancelToken* cancel, Trace* trace, uint64_t parent_span,
+      ResilienceManager::CallReport* report) const override {
+    return service_.TranslateOne(service_.sources_[i], full_, trace,
+                                 parent_span,
+                                 memos_.empty() ? nullptr : memos_[i].get(),
+                                 cancel, report);
+  }
+
+ private:
+  const TranslationService& service_;
+  const Query& full_;
+  const std::vector<std::unique_ptr<MatchMemo>>& memos_;
+};
+
 Result<MediatorTranslation> TranslationService::TranslateFull(
     const Query& full, Trace* trace,
     const std::vector<std::unique_ptr<MatchMemo>>& memos,
@@ -434,125 +454,21 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
   // Rendering is deferred to this detail-only path; the translation and
   // cache machinery below works purely on fingerprints.
   if (root.detail()) root.AddAttr("query", ToParseableText(full));
-  const uint64_t root_id = root.id();
+  const FanOut fanout(resilience_.get(), pool_.get());
   const size_t n = sources_.size();
-  std::vector<std::optional<Result<Translation>>> outcomes(n);
-  std::vector<ResilienceManager::CallReport> reports(n);
-  if (pool_ != nullptr && n > 1) {
-    parallel_tasks_.fetch_add(n, std::memory_order_relaxed);
-    // Covers the whole fan-out window on the calling thread: submits, the
-    // workers' overlapping spans, and the latch wake-up latency.
-    Span fanout_span(trace, "fanout.wait", root_id);
-    std::latch done(static_cast<ptrdiff_t>(n));
-    for (size_t i = 0; i < n; ++i) {
-      const int64_t submit_ns = trace != nullptr ? trace->NowNs() : 0;
-      pool_->Submit([this, &full, &outcomes, &reports, &done, trace, &memos,
-                     root_id, submit_ns, cancel, i] {
-        const int64_t start_ns = trace != nullptr ? trace->NowNs() : 0;
-        Span source_span(trace, "source.translate", root_id);
-        if (source_span.enabled()) {
-          source_span.AddAttr("source", sources_[i].name);
-          trace->AddCompleteSpan("pool.wait", root_id, submit_ns, start_ns);
-        }
-        Result<Translation> translation = TranslateOne(
-            sources_[i], full, trace, source_span.id(),
-            memos.empty() ? nullptr : memos[i].get(), cancel, &reports[i]);
-        if (translation.ok()) {
-          translation->stats.queue_wait_ns +=
-              static_cast<uint64_t>(start_ns - submit_ns);
-          source_span.SetStats(translation->stats);
-        }
-        outcomes[i].emplace(std::move(translation));
-        // End the span before releasing the latch: count_down() lets the
-        // calling thread return and destroy the trace, so nothing in this
-        // task may touch it afterwards (the Span destructor would).
-        source_span.End();
-        done.count_down();
-      });
-    }
-    // ALWAYS wait, even when `cancel` has expired mid-fan-out: the workers
-    // write into this frame's `outcomes`/`reports`, so returning before the
-    // latch releases would leave detached tasks scribbling on a dead stack.
-    // Expiry makes the workers *finish fast* (the guard checks the token
-    // before each attempt), never makes the caller leave early.
-    done.wait();
-  } else {
-    inline_tasks_.fetch_add(n, std::memory_order_relaxed);
-    for (size_t i = 0; i < n; ++i) {
-      Span source_span(trace, "source.translate", root_id);
-      if (source_span.enabled()) source_span.AddAttr("source", sources_[i].name);
-      Result<Translation> translation = TranslateOne(
-          sources_[i], full, trace, source_span.id(),
-          memos.empty() ? nullptr : memos[i].get(), cancel, &reports[i]);
-      if (translation.ok()) source_span.SetStats(translation->stats);
-      outcomes[i].emplace(std::move(translation));
-    }
-  }
-
-  // Deterministic join: sources_ is sorted by name, and the merge below
-  // always runs in that order, independent of task completion order.
-  Span join_span(trace, "join", root_id);
-  MediatorTranslation out;
-  std::vector<const ExactCoverage*> coverages;
-  const bool allow_partial =
-      resilience_ != nullptr && resilience_->options().allow_partial;
-  for (size_t i = 0; i < n; ++i) {
-    const ResilienceManager::CallReport& report = reports[i];
-    if (report.retries > 0) {
-      sources_[i].runtime->retries.fetch_add(report.retries,
-                                             std::memory_order_relaxed);
-    }
-    out.stats.retries += report.retries;
-    out.stats.deadline_hits += report.deadline_hit ? 1 : 0;
-    out.stats.breaker_rejections += report.breaker_rejected ? 1 : 0;
-    Result<Translation>& translation = *outcomes[i];
-    if (!translation.ok()) {
-      // Drop the failed source into the partial result: its coverage never
-      // reaches `coverages`, so MergedResidueFilter below regains every
-      // constraint only that source would have realized — the recomputation
-      // that keeps partial answers sound.
-      if (allow_partial && IsSourceDropFailure(translation.status().code())) {
-        out.partial.failed.push_back(
-            {sources_[i].name, translation.status(), report.attempts});
-        out.stats.failed_sources += 1;
-        continue;
-      }
-      return translation.status();
-    }
-    if (report.degraded) {
-      out.partial.degraded.push_back(sources_[i].name);
-      out.stats.degraded_sources += 1;
-    }
-    out.stats.MergeFrom(translation->stats);
-    auto [slot, inserted] =
-        out.per_source.emplace(sources_[i].name, *std::move(translation));
-    if (inserted) coverages.push_back(&slot->second.coverage);
-  }
-  if (resilience_ != nullptr && !out.partial.failed.empty()) {
-    const size_t survivors = n - out.partial.failed.size();
-    if (survivors < std::max<size_t>(1, resilience_->options().min_sources)) {
-      return Status::Unavailable(
-          "only " + std::to_string(survivors) + " of " + std::to_string(n) +
-          " sources available: " + out.partial.ToString());
-    }
-    resilience_->RecordPartialResult(out.partial.failed.size());
-    if (root.enabled()) root.AddAttr("partial", out.partial.ToString());
-  }
-  if (pool_ != nullptr && n > 1) out.stats.parallel_tasks += n;
-  join_span.End();
-  {
-    Span filter_span(trace, "filter", root_id);
-    out.filter = MergedResidueFilter(full, coverages);
-  }
-  if (match_attempts_counter_ != nullptr) {
-    match_attempts_counter_->Inc(out.stats.match.pattern_attempts);
-    match_index_hits_counter_->Inc(out.stats.match.index_hits);
-    match_memo_hits_counter_->Inc(out.stats.memo_hits);
-    match_saved_counter_->Inc(out.stats.match.pattern_attempts_saved);
-    match_compiled_hits_counter_->Inc(out.stats.match.compiled_hits);
+  (fanout.Parallel(n) ? parallel_tasks_ : inline_tasks_)
+      .fetch_add(n, std::memory_order_relaxed);
+  Result<MediatorTranslation> out =
+      fanout.Run(full, FanOutSources(*this, full, memos), Integration::kJoin,
+                 cancel, root);
+  if (out.ok() && match_attempts_counter_ != nullptr) {
+    match_attempts_counter_->Inc(out->stats.match.pattern_attempts);
+    match_index_hits_counter_->Inc(out->stats.match.index_hits);
+    match_memo_hits_counter_->Inc(out->stats.memo_hits);
+    match_saved_counter_->Inc(out->stats.match.pattern_attempts_saved);
+    match_compiled_hits_counter_->Inc(out->stats.match.compiled_hits);
     BridgeCompileStats();
   }
-  root.SetStats(out.stats);
   return out;
 }
 
@@ -664,18 +580,6 @@ void TranslationService::WarmUpFromStoreOnce() const {
   });
 }
 
-const CancelToken* TranslationService::MakeRequestToken(
-    CancelToken* storage) const {
-  if (resilience_ == nullptr ||
-      resilience_->options().request_deadline_us == 0) {
-    return nullptr;
-  }
-  storage->budget = DeadlineBudget{}.Narrowed(
-      resilience_->clock()->NowUs(),
-      resilience_->options().request_deadline_us);
-  return storage;
-}
-
 Result<MediatorTranslation> TranslationService::Translate(const Query& query,
                                                           Trace* trace) const {
   translate_calls_.fetch_add(1, std::memory_order_relaxed);
@@ -684,7 +588,7 @@ Result<MediatorTranslation> TranslationService::Translate(const Query& query,
   Query full = query & view_constraints_;
   CancelToken token;
   return TranslateObserved(full, trace, MakeMemoScope(),
-                           MakeRequestToken(&token));
+                           FanOut(resilience_.get()).RequestToken(&token));
 }
 
 Result<Translation> TranslationService::TranslateSource(
@@ -704,7 +608,7 @@ Result<Translation> TranslationService::TranslateSource(
   // deadline (if any) — budget propagation across the wire works exactly
   // like propagation down the local call tree.
   CancelToken token;
-  const CancelToken* cancel = MakeRequestToken(&token);
+  const CancelToken* cancel = FanOut(resilience_.get()).RequestToken(&token);
   if (deadline_ms > 0) {
     ResilienceClock* clock = options_.clock != nullptr
                                  ? options_.clock
@@ -759,7 +663,7 @@ Result<std::vector<MediatorTranslation>> TranslationService::TranslateBatch(
   // in it, so a stalled early query leaves less (possibly nothing) for the
   // later ones — budget propagation, not per-query reset.
   CancelToken token;
-  const CancelToken* cancel = MakeRequestToken(&token);
+  const CancelToken* cancel = FanOut(resilience_.get()).RequestToken(&token);
   std::vector<MediatorTranslation> unique_results;
   unique_results.reserve(unique_full.size());
   for (size_t u = 0; u < unique_full.size(); ++u) {

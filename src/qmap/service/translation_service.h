@@ -17,6 +17,7 @@
 #include "qmap/rules/compose.h"
 #include "qmap/rules/containment.h"
 #include "qmap/obs/trace_ring.h"
+#include "qmap/service/fanout.h"
 #include "qmap/service/resilience.h"
 #include "qmap/service/source_transport.h"
 #include "qmap/service/thread_pool.h"
@@ -192,7 +193,7 @@ struct ServiceStatus {
   bool store_ok = false;   // true when no store is configured
   bool warmed_up = false;  // boot replay completed (false when not configured)
   /// Active rule-matching engine (MatchEngineName of CurrentMatchEngine):
-  /// "naive", "indexed", or "compiled".
+  /// "compiled" (the default) or "naive" (the reference oracle).
   std::string match_engine;
   /// BeginDrain() was called (also forces ready=false): the process is
   /// shutting down and wants traffic steered away.
@@ -406,6 +407,13 @@ class TranslationService {
   AdminHttpServer* admin_server() const { return admin_.get(); }
 
  private:
+  class FanOutSources;
+
+  /// Shared tail of AddSource and AddRemoteSource: derives the source's
+  /// cache-key context third and inserts it in name order.
+  void Register(std::string name, uint64_t rule_set_fp,
+                std::shared_ptr<SourceTransport> transport);
+
   /// Shared body of the two AddChain overloads; `capabilities` null means
   /// "derive from the composed spec".
   Status AddChainImpl(std::string name, const std::vector<MappingSpec>& hops,
@@ -451,19 +459,17 @@ class TranslationService {
   /// One per-source unit of work: cache lookup (typed fingerprint key),
   /// else translate (under the resilience guards when enabled) and fill.
   /// Degraded translations are never cached — a cached entry must be the
-  /// exact mapping, not a widened one. `cancel` and `report` may be null.
+  /// exact mapping, not a widened one. `cancel` may be null; `report` may
+  /// not. Retries spent land in the source's scoreboard row.
   Result<Translation> TranslateOne(const SourceEntry& source, const Query& full,
                                    Trace* trace, uint64_t parent_span,
                                    MatchMemo* memo, const CancelToken* cancel,
                                    ResilienceManager::CallReport* report) const;
 
-  /// The fan-out + deterministic join for one full query (view constraints
-  /// already conjoined). `memos` is the request's memo scope (may be empty).
-  ///
-  /// Cancellation/lifetime contract: workers write into stack-allocated
-  /// per-request state, so this function ALWAYS waits for every dispatched
-  /// task — even when `cancel` has already expired. Workers poll the token
-  /// and bail out fast instead of being abandoned (see docs/ROBUSTNESS.md).
+  /// One full query (view constraints already conjoined) through the
+  /// fan-out core (qmap/service/fanout.h) as a join, each source via
+  /// TranslateOne, plus the pool and match counters. `memos` is the
+  /// request's memo scope (may be empty).
   Result<MediatorTranslation> TranslateFull(
       const Query& full, Trace* trace,
       const std::vector<std::unique_ptr<MatchMemo>>& memos,
@@ -478,10 +484,6 @@ class TranslationService {
       const Query& full, Trace* trace,
       const std::vector<std::unique_ptr<MatchMemo>>& memos,
       const CancelToken* cancel) const;
-
-  /// Builds the request-level cancel token when a request deadline is
-  /// configured; returns null (no token) otherwise.
-  const CancelToken* MakeRequestToken(CancelToken* storage) const;
 
   /// Refreshes the point-in-time gauges (pool queue depth, cache entries,
   /// store live records, per-source breaker state) in the attached registry.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "qmap/contexts/faculty.h"
+#include "qmap/rules/rule_program.h"
 #include "test_util.h"
 
 namespace qmap {
@@ -162,6 +163,18 @@ TEST(Mediator, TranslateMergesPerSourceStats) {
   // No service layer involved: cache/parallelism counters stay zero.
   EXPECT_EQ(t->stats.cache_hits, 0u);
   EXPECT_EQ(t->stats.parallel_tasks, 0u);
+}
+
+// Each source's translator (and so its compiled rule plan) is built once,
+// when the source is added: repeated Translate calls compile nothing.
+TEST(Mediator, RepeatedTranslateCompilesNoPlans) {
+  Mediator mediator = MakeFacultyMediator();
+  ASSERT_TRUE(mediator.Translate(Example3Query()).ok());  // warm-up
+  const uint64_t built = CompiledPlanGlobalStats().plans_built;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(mediator.Translate(Example3Query()).ok());
+  }
+  EXPECT_EQ(CompiledPlanGlobalStats().plans_built, built);
 }
 
 TEST(Mediator, FindSource) {
