@@ -88,7 +88,7 @@ void MatchVsP_Distinct(benchmark::State& state) {
   qmap::MatchCounters counters;
   for (auto _ : state) {
     std::vector<qmap::Matching> matchings =
-        MatchSpecIndexed(*spec, conjunction, &counters);
+        MatchSpec(*spec, conjunction, &counters);
     benchmark::DoNotOptimize(matchings);
   }
   state.counters["P"] = p;
@@ -109,7 +109,7 @@ void MatchVsP_Ambiguous(benchmark::State& state) {
   qmap::MatchCounters counters;
   for (auto _ : state) {
     std::vector<qmap::Matching> matchings =
-        MatchSpecIndexed(*spec, conjunction, &counters);
+        MatchSpec(*spec, conjunction, &counters);
     benchmark::DoNotOptimize(matchings);
   }
   state.counters["P"] = p;
@@ -123,22 +123,18 @@ BENCHMARK(MatchVsP_Ambiguous)->DenseRange(1, 4, 1);
 
 // B1c — wide-spec matching: R rules over a shared "hot" attribute plus
 // distinct per-rule attributes plus a wildcard rule, against a fixed
-// 16-constraint conjunction. Three engines over the same spec/conjunction:
+// 16-constraint conjunction. Both engines over the same spec/conjunction:
 //   naive     sweeps all N constraints for every head slot of every rule
 //             (cost ~ R·N);
-//   indexed   walks only the (attribute, op) bucket per slot and skips rules
-//             with an empty bucket outright, but still re-runs the
-//             interpreter per rule and allocates per-rule contexts, dedup
-//             maps and std::map binding nodes on every call;
 //   compiled  runs the discrimination DAG (qmap/rules/compiled_matcher.h):
 //             shared head-pattern prefixes tested once per conjunction,
 //             empty-bucket edges skipping whole rule subtrees in O(1), and —
 //             with a reused scratch — zero allocations in steady state.
 // All series run from the same binary into one JSON, so a single
-// BENCH_bench_matching.json records the naive/indexed/compiled timing
-// ratios (the ≥10× compiled-vs-indexed acceptance number at R=64), the
-// attempts/iter counters, and allocs_per_iter, which
-// bench/check_bench_regression.py pins (compiled raw path: ≤ 2).
+// BENCH_bench_matching.json records the naive/compiled timing ratio (the
+// compiled-vs-naive bound at R=64), the attempts/iter counters, and
+// allocs_per_iter, which bench/check_bench_regression.py pins (compiled raw
+// path: ≤ 2).
 
 namespace {
 
@@ -204,37 +200,6 @@ void MatchWide_Naive(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(MatchWide_Naive)->RangeMultiplier(8)->Range(8, 256);
-
-void MatchWide_Indexed(benchmark::State& state) {
-  int r = static_cast<int>(state.range(0));
-  qmap::Result<qmap::MappingSpec> spec = WideSpec(r);
-  if (!spec.ok()) {
-    state.SkipWithError(spec.status().ToString().c_str());
-    return;
-  }
-  std::vector<Constraint> conjunction = WideConjunction();
-  qmap::MatchCounters counters;
-  uint64_t allocs_before = qmap_bench::AllocCount();
-  for (auto _ : state) {
-    std::vector<qmap::Matching> matchings =
-        MatchSpecIndexed(*spec, conjunction, &counters);
-    benchmark::DoNotOptimize(matchings);
-  }
-  state.counters["R"] = r;
-  state.counters["attempts/iter"] = benchmark::Counter(
-      static_cast<double>(counters.pattern_attempts),
-      benchmark::Counter::kAvgIterations);
-  state.counters["saved/iter"] = benchmark::Counter(
-      static_cast<double>(counters.pattern_attempts_saved),
-      benchmark::Counter::kAvgIterations);
-  state.counters["index_hits/iter"] = benchmark::Counter(
-      static_cast<double>(counters.index_hits),
-      benchmark::Counter::kAvgIterations);
-  state.counters["allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(qmap_bench::AllocCount() - allocs_before),
-      benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(MatchWide_Indexed)->RangeMultiplier(8)->Range(8, 256);
 
 // The raw compiled engine: plan prebuilt, scratch reused across iterations
 // (exactly how MatchSpecCompiled's thread-local scratch behaves in steady

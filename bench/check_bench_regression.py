@@ -14,9 +14,9 @@ Fails (exit 1) when any benchmark present in the baseline
 Additionally, --max-ratio CUR:REF:FRAC (repeatable) asserts a speed ratio
 *within the current run*: benchmark CUR's real_time must be at most FRAC of
 benchmark REF's. Being run-internal, it is immune to runner speed — it is
-how CI pins "the compiled matcher is >=10x the indexed one" as
+how CI pins "the compiled matcher is >=10x the naive one" as
 
-    --max-ratio 'MatchWide_Compiled/64:MatchWide_Indexed/64:0.1'
+    --max-ratio 'MatchWide_Compiled/64:MatchWide_Naive/64:0.1'
 
 --pin SUBSTR (repeatable) pins additional counters by name substring, in
 BOTH directions: deterministic outputs such as composed-rule counts and

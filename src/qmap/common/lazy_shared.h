@@ -10,10 +10,10 @@ namespace qmap {
 
 /// Double-checked, atomically published lazy shared value.
 ///
-/// The publication discipline both of MappingSpec's derived artifacts (the
-/// RuleIndex and the CompiledRulePlan) share: readers take the fast path — a
-/// single acquire load of the shared_ptr, no lock — and only the first
-/// builder (or a reader racing the first builder) takes the mutex. The value
+/// The publication discipline of MappingSpec's compiled rule plan: readers
+/// take the fast path — a single acquire load of the shared_ptr, no lock —
+/// and only the first builder (or a reader racing the first builder) takes
+/// the mutex. The value
 /// is stored via release so a reader that observes the pointer observes the
 /// fully built object. GetOrBuild never runs `build` twice for one published
 /// value: losers of the build race re-check under the lock and adopt the

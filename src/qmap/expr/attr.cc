@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 
 #include "qmap/common/fnv.h"
 #include "qmap/common/strings.h"
@@ -76,40 +75,6 @@ uint64_t Attr::CanonicalHash() const {
     h.AddByte('.');
   }
   return h.Add(name).value();
-}
-
-AttrNameTable& AttrNameTable::Global() {
-  static AttrNameTable* table = new AttrNameTable();
-  return *table;
-}
-
-int32_t AttrNameTable::Intern(std::string_view name) {
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = index_.find(name);
-    if (it != index_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto [it, inserted] =
-      index_.emplace(std::string(name), static_cast<int32_t>(names_.size()));
-  if (inserted) names_.push_back(&it->first);
-  return it->second;
-}
-
-int32_t AttrNameTable::Find(std::string_view name) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = index_.find(name);
-  return it == index_.end() ? -1 : it->second;
-}
-
-const std::string& AttrNameTable::NameOf(int32_t id) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return *names_[static_cast<size_t>(id)];
-}
-
-size_t AttrNameTable::size() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return names_.size();
 }
 
 }  // namespace qmap

@@ -2,10 +2,8 @@
 #define QMAP_EXPR_ATTR_H_
 
 #include <cstdint>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "qmap/common/status.h"
@@ -48,47 +46,6 @@ struct Attr {
 
   friend bool operator==(const Attr& a, const Attr& b) = default;
   friend auto operator<=>(const Attr& a, const Attr& b) = default;
-};
-
-/// Process-wide interned symbol table for attribute-name strings.
-///
-/// Rule matching compares attribute names constantly — every pattern trial
-/// starts with a name check, and the rule index buckets constraints by
-/// (attribute, op). Interning turns both into O(1) integer comparisons:
-/// equal ids ⇔ equal strings, and ids are dense and stable for the process
-/// lifetime, so they can key flat hash tables directly.
-///
-/// Thread-safe: Intern takes an exclusive lock only on first sight of a
-/// name; repeat lookups and Find take a shared lock.
-class AttrNameTable {
- public:
-  /// The single process-wide table (attribute vocabularies are tiny; a
-  /// global table keeps ids comparable across specs and conjunctions).
-  static AttrNameTable& Global();
-
-  /// Id of `name`, interning it on first sight.
-  int32_t Intern(std::string_view name);
-
-  /// Id of `name` if already interned, -1 otherwise (never interns).
-  int32_t Find(std::string_view name) const;
-
-  /// The interned string for a valid `id`.
-  const std::string& NameOf(int32_t id) const;
-
-  size_t size() const;
-
- private:
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  mutable std::shared_mutex mu_;
-  // Node-based map: key strings are stable, so names_ can point into them.
-  std::unordered_map<std::string, int32_t, StringHash, std::equal_to<>> index_;
-  std::vector<const std::string*> names_;  // by id; points into index_ keys
 };
 
 }  // namespace qmap

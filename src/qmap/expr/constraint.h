@@ -23,7 +23,8 @@ enum class Op {
   kDuring,      // partial-date containment ("pdate during May/97")
 };
 
-/// Number of Op enumerators — sized for flat per-op tables (rule index).
+/// Number of Op enumerators — sized for flat per-op tables (the compiled
+/// rule plan's candidate buckets).
 inline constexpr int kNumOps = 8;
 
 /// Canonical spelling of an operator, e.g. "=", "contains".

@@ -151,8 +151,8 @@ struct InternedConstraint {
 };
 
 // The query-node and constraint tables plus the optional metrics bridge.
-// Leaky static (like AttrNameTable), so destructors of objects that outlive
-// static destruction can still erase their entries.
+// Leaky static, so destructors of objects that outlive static destruction
+// can still erase their entries.
 class InternTables {
  public:
   static InternTables& Global() {

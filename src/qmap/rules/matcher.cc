@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <unordered_map>
 
 #include "qmap/rules/compiled_matcher.h"
-#include "qmap/rules/rule_index.h"
 
 namespace qmap {
 namespace {
@@ -99,71 +97,12 @@ void MatchHead(const Rule& rule, const std::vector<Constraint>& constraints,
   }
 }
 
-// The indexed recursion: pattern slots enumerate only their (attribute, op)
-// bucket, and all attempts share one Bindings object via the undo log.
-// Buckets preserve ascending constraint order, so the successful assignments
-// are visited in exactly the naive path's order — the two paths emit
-// byte-identical matching lists.
-struct IndexedCtx {
-  const Rule* rule = nullptr;
-  const std::vector<PatternKey>* keys = nullptr;
-  const std::vector<Constraint>* constraints = nullptr;
-  const FunctionRegistry* registry = nullptr;
-  const ConjunctionIndex* cindex = nullptr;
-  MatchCounters* counters = nullptr;
-  MatchingDedup* dedup = nullptr;
-  std::vector<Matching>* out = nullptr;
-  std::vector<int> used;
-  std::vector<char> used_mask;
-  Bindings bindings;
-};
-
-void MatchHeadIndexed(IndexedCtx& ctx, size_t pattern_index) {
-  if (pattern_index == ctx.rule->head.size()) {
-    if (!ctx.rule->ConditionsHold(ctx.bindings, *ctx.registry)) return;
-    std::vector<int> sorted = ctx.used;
-    std::sort(sorted.begin(), sorted.end());
-    if (!ctx.dedup->Insert(sorted, ctx.bindings)) return;
-    if (ctx.counters != nullptr) ++ctx.counters->matchings_found;
-    ctx.out->push_back(MakeMatching(*ctx.rule, std::move(sorted), ctx.bindings));
-    return;
-  }
-  const ConstraintPattern& pattern = ctx.rule->head[pattern_index];
-  const PatternKey& key = (*ctx.keys)[pattern_index];
-  const std::vector<int>& candidates = ctx.cindex->Candidates(key);
-  if (ctx.counters != nullptr && !key.is_wildcard()) ++ctx.counters->index_hits;
-  uint64_t tried = 0;
-  for (int i : candidates) {
-    if (ctx.used_mask[static_cast<size_t>(i)] != 0) continue;
-    ++tried;
-    if (ctx.counters != nullptr) ++ctx.counters->pattern_attempts;
-    const size_t mark = ctx.bindings.Mark();
-    if (!pattern.Match((*ctx.constraints)[static_cast<size_t>(i)],
-                       &ctx.bindings)) {
-      ctx.bindings.RollbackTo(mark);
-      continue;
-    }
-    ctx.used.push_back(i);
-    ctx.used_mask[static_cast<size_t>(i)] = 1;
-    MatchHeadIndexed(ctx, pattern_index + 1);
-    ctx.used.pop_back();
-    ctx.used_mask[static_cast<size_t>(i)] = 0;
-    ctx.bindings.RollbackTo(mark);
-  }
-  if (ctx.counters != nullptr) {
-    ctx.counters->pattern_attempts_saved +=
-        (ctx.constraints->size() - ctx.used.size()) - tried;
-  }
-}
-
 }  // namespace
 
 const char* MatchEngineName(MatchEngine engine) {
   switch (engine) {
     case MatchEngine::kNaive:
       return "naive";
-    case MatchEngine::kIndexed:
-      return "indexed";
     case MatchEngine::kCompiled:
       return "compiled";
   }
@@ -171,29 +110,16 @@ const char* MatchEngineName(MatchEngine engine) {
 }
 
 MatchEngine MatchEngineFromEnv() {
-  if (const char* v = std::getenv("QMAP_MATCH_ENGINE")) {
-    if (std::strcmp(v, "naive") == 0) return MatchEngine::kNaive;
-    if (std::strcmp(v, "indexed") == 0) return MatchEngine::kIndexed;
-    if (std::strcmp(v, "compiled") == 0) return MatchEngine::kCompiled;
-    // Unrecognized values (including "") fall through to the default rather
-    // than silently picking a slow path.
-    return MatchEngine::kCompiled;
-  }
-  if (std::getenv("QMAP_DISABLE_MATCH_INDEX") != nullptr) {
-    return MatchEngine::kNaive;
-  }
-  return MatchEngine::kCompiled;
+  const char* v = std::getenv("QMAP_MATCH_ENGINE");
+  // Everything but "naive" — "compiled", unrecognized values (including ""
+  // and the retired "indexed"), or no variable at all — is the default.
+  return v != nullptr && std::strcmp(v, "naive") == 0 ? MatchEngine::kNaive
+                                                      : MatchEngine::kCompiled;
 }
 
 MatchEngine CurrentMatchEngine() { return EngineFlag(); }
 
 void SetMatchEngine(MatchEngine engine) { EngineFlag() = engine; }
-
-void SetMatchIndexEnabled(bool enabled) {
-  SetMatchEngine(enabled ? MatchEngine::kIndexed : MatchEngine::kNaive);
-}
-
-bool MatchIndexEnabled() { return CurrentMatchEngine() != MatchEngine::kNaive; }
 
 bool Matching::IsStrictSubsetOf(const Matching& other) const {
   if (constraint_indices.size() >= other.constraint_indices.size()) return false;
@@ -246,57 +172,10 @@ std::vector<Matching> MatchSpecNaive(const MappingSpec& spec,
 std::vector<Matching> MatchSpec(const MappingSpec& spec,
                                 const std::vector<Constraint>& constraints,
                                 MatchCounters* counters) {
-  switch (CurrentMatchEngine()) {
-    case MatchEngine::kNaive:
-      return MatchSpecNaive(spec, constraints, counters);
-    case MatchEngine::kCompiled:
-      return MatchSpecCompiled(spec, constraints, counters);
-    case MatchEngine::kIndexed:
-      break;
+  if (CurrentMatchEngine() == MatchEngine::kNaive) {
+    return MatchSpecNaive(spec, constraints, counters);
   }
-  return MatchSpecIndexed(spec, constraints, counters);
-}
-
-std::vector<Matching> MatchSpecIndexed(const MappingSpec& spec,
-                                       const std::vector<Constraint>& constraints,
-                                       MatchCounters* counters) {
-  std::shared_ptr<const RuleIndex> index = spec.rule_index();
-  ConjunctionIndex cindex(constraints);
-  std::vector<Matching> out;
-  out.reserve(spec.rules().size());
-  const std::vector<Rule>& rules = spec.rules();
-  for (size_t r = 0; r < rules.size(); ++r) {
-    const std::vector<PatternKey>& keys = index->keys()[r];
-    // Rule-level pruning: if any pattern's bucket is empty, the rule cannot
-    // match at all — skip it without touching a single constraint.
-    bool feasible = true;
-    for (const PatternKey& key : keys) {
-      if (cindex.Candidates(key).empty()) {
-        feasible = false;
-        break;
-      }
-    }
-    if (!feasible) {
-      if (counters != nullptr) {
-        counters->pattern_attempts_saved += constraints.size();
-      }
-      continue;
-    }
-    IndexedCtx ctx;
-    ctx.rule = &rules[r];
-    ctx.keys = &keys;
-    ctx.constraints = &constraints;
-    ctx.registry = &spec.registry();
-    ctx.cindex = &cindex;
-    ctx.counters = counters;
-    MatchingDedup dedup(&out);
-    ctx.dedup = &dedup;
-    ctx.out = &out;
-    ctx.used.reserve(keys.size());
-    ctx.used_mask.assign(constraints.size(), 0);
-    MatchHeadIndexed(ctx, 0);
-  }
-  return out;
+  return MatchSpecCompiled(spec, constraints, counters);
 }
 
 }  // namespace qmap

@@ -32,40 +32,39 @@ struct Matching {
 struct MatchCounters {
   uint64_t pattern_attempts = 0;  // pattern-vs-constraint match trials
   uint64_t matchings_found = 0;
-  /// Pattern-slot lookups answered from a literal (attribute, op) bucket of
-  /// the conjunction index (wildcard-bucket lookups are not counted). In the
-  /// compiled engine a shared prefix edge counts once per conjunction, not
-  /// once per rule sharing it.
+  /// Pattern-slot lookups answered from a literal (attribute, op) candidate
+  /// bucket (wildcard-bucket lookups are not counted). A shared prefix edge
+  /// of the compiled DAG counts once per conjunction, not once per rule
+  /// sharing it.
   uint64_t index_hits = 0;
-  /// Pattern trials the index avoided relative to the naive matcher: at each
-  /// visited pattern slot, the naive path would have tried every not-yet-used
-  /// constraint; the indexed path tries only the slot's bucket. Rules skipped
-  /// outright (some pattern's bucket is empty) count one naive slot-0 sweep —
-  /// a lower bound on the recursion the naive matcher would have done.
+  /// Pattern trials the buckets avoided relative to the naive matcher: at
+  /// each visited pattern slot, the naive path would have tried every
+  /// not-yet-used constraint; the compiled path tries only the slot's
+  /// bucket. Subtrees skipped outright (an empty bucket) count one naive
+  /// slot-0 sweep — a lower bound on the recursion the naive matcher would
+  /// have done.
   uint64_t pattern_attempts_saved = 0;
   /// Conjunctions answered by the compiled discrimination-DAG engine.
   uint64_t compiled_hits = 0;
 };
 
-/// The three implementations of MatchSpec, selectable at runtime. All emit
+/// The two implementations of MatchSpec, selectable at runtime. Both emit
 /// byte-identical matchings in byte-identical order; they differ only in
 /// cost (tests/matcher_equiv_test.cc, tests/compiled_matcher_test.cc).
 enum class MatchEngine {
-  kNaive,     // every rule tries every constraint at every pattern slot
-  kIndexed,   // per-conjunction (attribute, op) buckets per rule (PR 3)
+  kNaive,     // the reference oracle: every rule tries every constraint at
+              // every pattern slot
   kCompiled,  // the spec's compiled discrimination DAG (rule_program.h)
 };
 
-/// Canonical lowercase name: "naive" / "indexed" / "compiled".
+/// Canonical lowercase name: "naive" / "compiled".
 const char* MatchEngineName(MatchEngine engine);
 
-/// The single decode of the engine environment toggles — every consumer
+/// The single decode of the engine environment toggle — every consumer
 /// (matcher dispatch, benches, service status pages) goes through this:
-///   QMAP_MATCH_ENGINE=naive|indexed|compiled  picks a path explicitly;
-///   QMAP_DISABLE_MATCH_INDEX (any value)      deprecated alias for =naive;
-///   neither                                   kCompiled.
-/// Pure: reads the environment on every call (the process-wide engine is
-/// initialized from it once, at first use).
+/// QMAP_MATCH_ENGINE=naive picks the reference path; any other value, or
+/// none, is kCompiled. Pure: reads the environment on every call (the
+/// process-wide engine is initialized from it once, at first use).
 MatchEngine MatchEngineFromEnv();
 
 /// The engine MatchSpec currently dispatches to (initialized from
@@ -86,10 +85,10 @@ std::vector<Matching> MatchRule(const Rule& rule,
 ///
 /// Dispatches to CurrentMatchEngine(): by default the compiled
 /// discrimination DAG (spec.compiled_plan(); see qmap/rules/rule_program.h),
-/// with the PR 3 indexed interpreter and the naive reference selectable via
-/// QMAP_MATCH_ENGINE / SetMatchEngine. All three produce byte-identical
-/// matchings in byte-identical order, verified by
-/// tests/matcher_equiv_test.cc and tests/compiled_matcher_test.cc.
+/// with the naive reference selectable via QMAP_MATCH_ENGINE /
+/// SetMatchEngine. Both produce byte-identical matchings in byte-identical
+/// order, verified by tests/matcher_equiv_test.cc and
+/// tests/compiled_matcher_test.cc.
 std::vector<Matching> MatchSpec(const MappingSpec& spec,
                                 const std::vector<Constraint>& constraints,
                                 MatchCounters* counters = nullptr);
@@ -100,21 +99,6 @@ std::vector<Matching> MatchSpec(const MappingSpec& spec,
 std::vector<Matching> MatchSpecNaive(const MappingSpec& spec,
                                      const std::vector<Constraint>& constraints,
                                      MatchCounters* counters = nullptr);
-
-/// The PR 3 indexed interpreter, callable directly (A/B benchmarks and the
-/// equivalence suites) regardless of the process-wide engine: constraints
-/// are bucketed by (attribute, op) once per call and each head pattern
-/// enumerates only its bucket, with an undo-log on one shared Bindings.
-std::vector<Matching> MatchSpecIndexed(const MappingSpec& spec,
-                                       const std::vector<Constraint>& constraints,
-                                       MatchCounters* counters = nullptr);
-
-/// Deprecated pre-PR 8 toggle, kept for callers that predate MatchEngine:
-/// SetMatchIndexEnabled(false) selects kNaive, (true) selects kIndexed, and
-/// MatchIndexEnabled() reports engine != kNaive. New code should use
-/// SetMatchEngine / CurrentMatchEngine.
-void SetMatchIndexEnabled(bool enabled);
-bool MatchIndexEnabled();
 
 }  // namespace qmap
 

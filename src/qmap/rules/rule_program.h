@@ -36,7 +36,7 @@ namespace qmap {
 /// A plan holds no pointers into the MappingSpec it was compiled from; it
 /// refers to rules by index, so it stays valid across spec copies/moves as
 /// long as the rule list itself is unchanged (MappingSpec invalidates its
-/// cached plan on AddRule, exactly like the RuleIndex).
+/// cached plan on AddRule).
 ///
 /// Immutable after construction — safe to share across threads.
 
@@ -116,8 +116,7 @@ class CompiledRulePlan {
   /// Candidate-bucket slot for a literal (op, attr-name) pair, or -1 when no
   /// pattern in the plan tests that pair. The lookup is plan-local and
   /// lock-free — one transparent string-hash probe, then a flat
-  /// [name][op] row — so the per-constraint Prepare loop never takes the
-  /// global AttrNameTable's shared_mutex.
+  /// [name][op] row — so the per-constraint Prepare loop takes no lock.
   int32_t LiteralSlot(Op op, std::string_view name) const {
     auto it = name_ids_.find(name);
     if (it == name_ids_.end()) return -1;

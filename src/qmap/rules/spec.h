@@ -11,7 +11,6 @@
 
 namespace qmap {
 
-class RuleIndex;
 class CompiledRulePlan;
 
 /// A mapping specification K: the set of mapping rules for one target
@@ -34,7 +33,7 @@ class MappingSpec {
   MappingSpec(std::string target_name, std::shared_ptr<const FunctionRegistry> registry)
       : target_name_(std::move(target_name)), registry_(std::move(registry)) {}
 
-  // The cached derived artifacts (rule index, compiled plan, fingerprint)
+  // The cached derived artifacts (compiled plan, fingerprint)
   // ride along on copy/move — none holds pointers into the rule list — but
   // their synchronization state cannot, so all four operations are spelled
   // out in spec.cc.
@@ -49,7 +48,6 @@ class MappingSpec {
 
   void AddRule(Rule rule) {
     rules_.push_back(std::move(rule));
-    rule_index_.Invalidate();
     compiled_plan_.Invalidate();
     std::lock_guard<std::mutex> lock(fingerprint_mu_);
     fingerprint_valid_ = false;
@@ -66,19 +64,14 @@ class MappingSpec {
   /// call from many threads under the immutable-once-translating contract.
   uint64_t fingerprint() const;
 
-  /// The per-spec head-pattern index (see qmap/rules/rule_index.h), built
-  /// lazily on first use and cached until AddRule() invalidates it.
+  /// The spec's compiled matching automaton (see qmap/rules/rule_program.h),
+  /// built lazily on first use and cached until AddRule() invalidates it.
   /// Published via LazyShared (double-checked atomic shared_ptr): readers
   /// race-free from any thread at any time, the build runs at most once per
-  /// published value, and the returned index stays valid independent of
-  /// this spec.
-  std::shared_ptr<const RuleIndex> rule_index() const;
-
-  /// The spec's compiled matching automaton (see qmap/rules/rule_program.h),
-  /// built lazily on first use under the same LazyShared publication
-  /// discipline as rule_index(). Replacing the rule set swaps plans with one
-  /// atomic pointer store — in-flight matches keep their plan alive through
-  /// the shared_ptr.
+  /// published value, and the returned plan stays valid independent of
+  /// this spec. Replacing the rule set swaps plans with one atomic pointer
+  /// store — in-flight matches keep their plan alive through the
+  /// shared_ptr.
   std::shared_ptr<const CompiledRulePlan> compiled_plan() const;
 
   /// Extra entropy mixed into fingerprint() when nonzero. The offline
@@ -111,7 +104,6 @@ class MappingSpec {
   std::string target_name_;
   std::shared_ptr<const FunctionRegistry> registry_;
   std::vector<Rule> rules_;
-  mutable LazyShared<RuleIndex> rule_index_;
   mutable LazyShared<CompiledRulePlan> compiled_plan_;
   // Cached rule-set fingerprint (not a shared_ptr, so it keeps its own lock).
   mutable std::mutex fingerprint_mu_;

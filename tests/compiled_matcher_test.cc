@@ -1,15 +1,15 @@
 // Acceptance suite for the compiled discrimination-DAG matcher
 // (qmap/rules/compiled_matcher.h, qmap/rules/rule_program.h):
 //
-//  * full translations must be byte-identical under all three match engines
-//    for every shipped context spec;
+//  * full translations must be byte-identical under both match engines
+//    (compiled and the naive reference) for every shipped context spec;
 //  * randomized-query equivalence: 500+ random queries per synthetic spec,
-//    every DNF disjunct matched by all three engines, seed echoed on
-//    failure so a miss is reproducible;
+//    every DNF disjunct matched by both engines, seed echoed on failure so
+//    a miss is reproducible;
 //  * the lazily-built plan is published exactly once under a concurrent
 //    first-build race (pointer identity across threads) — this test plus
 //    the LazyShared stress below run under TSan in CI;
-//  * QMAP_MATCH_ENGINE / QMAP_DISABLE_MATCH_INDEX decoding.
+//  * QMAP_MATCH_ENGINE decoding.
 //
 // Every suite name starts with "CompiledMatcher" — the TSan CI job selects
 // them by that regex.
@@ -37,7 +37,6 @@
 #include "qmap/contexts/synthetic.h"
 #include "qmap/core/translator.h"
 #include "qmap/expr/dnf.h"
-#include "qmap/rules/rule_index.h"
 #include "qmap/rules/rule_program.h"
 #include "qmap/rules/spec_parser.h"
 #include "test_util.h"
@@ -48,8 +47,8 @@ namespace {
 using testing::C;
 using testing::Q;
 
-constexpr MatchEngine kAllEngines[] = {
-    MatchEngine::kNaive, MatchEngine::kIndexed, MatchEngine::kCompiled};
+constexpr MatchEngine kAllEngines[] = {MatchEngine::kNaive,
+                                       MatchEngine::kCompiled};
 
 std::string Render(const std::vector<Matching>& matchings) {
   std::string out;
@@ -162,8 +161,7 @@ TEST(CompiledMatcherTranslations, ByteIdenticalAcrossEnginesAllContexts) {
       }
       renderings.push_back(std::move(rendering));
     }
-    EXPECT_EQ(renderings[1], renderings[0]) << "indexed diverged from naive";
-    EXPECT_EQ(renderings[2], renderings[0]) << "compiled diverged from naive";
+    EXPECT_EQ(renderings[1], renderings[0]) << "compiled diverged from naive";
   }
 }
 
@@ -183,9 +181,7 @@ void RandomizedEquivalence(const SyntheticOptions& options, uint64_t seed,
                  " query=" + query.ToString());
     for (const std::vector<Constraint>& disjunct : DnfDisjuncts(query)) {
       std::vector<Matching> naive = MatchSpecNaive(*spec, disjunct);
-      std::vector<Matching> indexed = MatchSpecIndexed(*spec, disjunct);
       std::vector<Matching> compiled = MatchSpecCompiled(*spec, disjunct);
-      ASSERT_EQ(Render(indexed), Render(naive));
       ASSERT_EQ(Render(compiled), Render(naive));
     }
   }
@@ -229,7 +225,6 @@ TEST(CompiledMatcherRandomized, DuplicateHeavyConjunctions) {
     SCOPED_TRACE("seed=" + std::to_string(seed) +
                  " trial=" + std::to_string(trial));
     std::vector<Matching> naive = MatchSpecNaive(*spec, conjunction);
-    ASSERT_EQ(Render(MatchSpecIndexed(*spec, conjunction)), Render(naive));
     ASSERT_EQ(Render(MatchSpecCompiled(*spec, conjunction)), Render(naive));
   }
 }
@@ -285,7 +280,7 @@ TEST(CompiledMatcherPlan, AddRuleInvalidatesPlan) {
 // --- Concurrent publication ----------------------------------------------
 
 TEST(CompiledMatcherConcurrency, FirstBuildRacePublishesOnePlan) {
-  // Many threads race the cold compiled_plan() / rule_index() build on a
+  // Many threads race the cold compiled_plan() build on a
   // shared spec. Exactly one plan object may win; every thread must observe
   // the same pointer, and every thread's match result must be correct. Run
   // under TSan in CI.
@@ -296,7 +291,6 @@ TEST(CompiledMatcherConcurrency, FirstBuildRacePublishesOnePlan) {
     const std::string expected = Render(MatchSpecNaive(spec, conjunction));
     constexpr int kThreads = 8;
     std::vector<const CompiledRulePlan*> plans(kThreads, nullptr);
-    std::vector<const RuleIndex*> indexes(kThreads, nullptr);
     std::vector<std::string> results(kThreads);
     std::latch start(kThreads);
     std::vector<std::thread> threads;
@@ -304,14 +298,12 @@ TEST(CompiledMatcherConcurrency, FirstBuildRacePublishesOnePlan) {
       threads.emplace_back([&, t] {
         start.arrive_and_wait();
         plans[t] = spec.compiled_plan().get();
-        indexes[t] = spec.rule_index().get();
         results[t] = Render(MatchSpecCompiled(spec, conjunction));
       });
     }
     for (std::thread& thread : threads) thread.join();
     for (int t = 1; t < kThreads; ++t) {
       EXPECT_EQ(plans[t], plans[0]) << "thread " << t << " got its own plan";
-      EXPECT_EQ(indexes[t], indexes[0]);
     }
     for (int t = 0; t < kThreads; ++t) {
       EXPECT_EQ(results[t], expected) << "thread " << t;
@@ -353,51 +345,35 @@ TEST(CompiledMatcherEngine, EnvDecoding) {
   // process default is latched), so the decode table is directly testable.
   const char* saved_engine = std::getenv("QMAP_MATCH_ENGINE");
   const std::string saved_engine_value = saved_engine ? saved_engine : "";
-  const char* saved_disable = std::getenv("QMAP_DISABLE_MATCH_INDEX");
-  const std::string saved_disable_value = saved_disable ? saved_disable : "";
 
-  ::unsetenv("QMAP_DISABLE_MATCH_INDEX");
   ::setenv("QMAP_MATCH_ENGINE", "naive", 1);
   EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kNaive);
-  ::setenv("QMAP_MATCH_ENGINE", "indexed", 1);
-  EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kIndexed);
   ::setenv("QMAP_MATCH_ENGINE", "compiled", 1);
   EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kCompiled);
+  ::setenv("QMAP_MATCH_ENGINE", "indexed", 1);
+  EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kCompiled)
+      << "the retired indexed engine must decode to the default engine";
   ::setenv("QMAP_MATCH_ENGINE", "hovercraft", 1);
   EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kCompiled)
       << "unknown value must fall back to the default engine";
   ::unsetenv("QMAP_MATCH_ENGINE");
   EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kCompiled);
-  // Deprecated alias, honored only when QMAP_MATCH_ENGINE is absent.
-  ::setenv("QMAP_DISABLE_MATCH_INDEX", "1", 1);
-  EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kNaive);
-  ::setenv("QMAP_MATCH_ENGINE", "compiled", 1);
-  EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kCompiled)
-      << "QMAP_MATCH_ENGINE must win over the deprecated alias";
 
   if (saved_engine) {
     ::setenv("QMAP_MATCH_ENGINE", saved_engine_value.c_str(), 1);
   } else {
     ::unsetenv("QMAP_MATCH_ENGINE");
   }
-  if (saved_disable) {
-    ::setenv("QMAP_DISABLE_MATCH_INDEX", saved_disable_value.c_str(), 1);
-  } else {
-    ::unsetenv("QMAP_DISABLE_MATCH_INDEX");
-  }
 }
 
-TEST(CompiledMatcherEngine, NamesAndDeprecatedWrappers) {
+TEST(CompiledMatcherEngine, NamesAndSetter) {
   ScopedEngine restore;
   EXPECT_STREQ(MatchEngineName(MatchEngine::kNaive), "naive");
-  EXPECT_STREQ(MatchEngineName(MatchEngine::kIndexed), "indexed");
   EXPECT_STREQ(MatchEngineName(MatchEngine::kCompiled), "compiled");
-  SetMatchEngine(MatchEngine::kCompiled);
-  EXPECT_TRUE(MatchIndexEnabled());
-  SetMatchIndexEnabled(false);
+  SetMatchEngine(MatchEngine::kNaive);
   EXPECT_EQ(CurrentMatchEngine(), MatchEngine::kNaive);
-  SetMatchIndexEnabled(true);
-  EXPECT_EQ(CurrentMatchEngine(), MatchEngine::kIndexed);
+  SetMatchEngine(MatchEngine::kCompiled);
+  EXPECT_EQ(CurrentMatchEngine(), MatchEngine::kCompiled);
 }
 
 TEST(CompiledMatcherEngine, CompiledHitsCounterAdvances) {
