@@ -156,6 +156,14 @@ bool SameMatching(const RunCtx& ctx, const FlatMatching& m) {
   return true;
 }
 
+uint64_t DedupKey(int32_t rule, const std::vector<int32_t>& sorted) {
+  uint64_t h = 0xcbf29ce484222325ull ^ static_cast<uint32_t>(rule);
+  for (int32_t i : sorted) {
+    h = (h ^ static_cast<uint32_t>(i)) * 0x100000001b3ull;
+  }
+  return h ^ (h >> 31);
+}
+
 void Accept(RunCtx& ctx, const PlanAccept& accept) {
   CompiledMatchScratch& s = *ctx.scratch;
   const Rule& rule = (*ctx.rules)[static_cast<size_t>(accept.rule)];
@@ -179,13 +187,23 @@ void Accept(RunCtx& ctx, const PlanAccept& accept) {
     for (; j > 0 && s.sorted[j - 1] > v; --j) s.sorted[j] = s.sorted[j - 1];
     s.sorted[j] = v;
   }
+  FlatMatching m;
+  size_t dedup_slot = 0;
   if (!accept.dedup_free) {
-    for (int32_t mi = s.rule_head[static_cast<size_t>(accept.rule)]; mi != -1;
-         mi = s.matchings[static_cast<size_t>(mi)].next) {
-      if (SameMatching(ctx, s.matchings[static_cast<size_t>(mi)])) return;
+    s.ReserveDedupSlot();
+    m.key = DedupKey(accept.rule, s.sorted);
+    m.in_dedup = true;
+    const size_t mask = s.dedup_ids.size() - 1;
+    for (dedup_slot = m.key & mask; s.dedup_stamps[dedup_slot] == s.dedup_stamp;
+         dedup_slot = (dedup_slot + 1) & mask) {
+      const FlatMatching& other =
+          s.matchings[static_cast<size_t>(s.dedup_ids[dedup_slot])];
+      if (other.key == m.key && other.rule == accept.rule &&
+          SameMatching(ctx, other)) {
+        return;
+      }
     }
   }
-  FlatMatching m;
   m.rule = accept.rule;
   m.idx_begin = static_cast<int32_t>(s.out_indices.size());
   m.idx_count = static_cast<int32_t>(s.sorted.size());
@@ -196,6 +214,11 @@ void Accept(RunCtx& ctx, const PlanAccept& accept) {
                         s.bindings.slots().end());
   const int32_t idx = static_cast<int32_t>(s.matchings.size());
   s.matchings.push_back(m);
+  if (m.in_dedup) {
+    s.dedup_stamps[dedup_slot] = s.dedup_stamp;
+    s.dedup_ids[dedup_slot] = idx;
+    ++s.dedup_live;
+  }
   int32_t& tail = s.rule_tail[static_cast<size_t>(accept.rule)];
   if (tail == -1) {
     s.rule_head[static_cast<size_t>(accept.rule)] = idx;
@@ -333,6 +356,22 @@ bool TermRefEquals(const TermRef& a, const TermRef& b) {
   }
 }
 
+void CompiledMatchScratch::ReserveDedupSlot() {
+  if (2 * (dedup_live + 1) <= dedup_ids.size()) return;
+  const size_t capacity = std::max<size_t>(64, 2 * dedup_ids.size());
+  dedup_ids.assign(capacity, -1);
+  dedup_stamps.assign(capacity, 0);
+  dedup_stamp = 1;
+  const size_t mask = capacity - 1;
+  for (size_t mi = 0; mi < matchings.size(); ++mi) {
+    if (!matchings[mi].in_dedup) continue;
+    size_t slot = matchings[mi].key & mask;
+    while (dedup_stamps[slot] == dedup_stamp) slot = (slot + 1) & mask;
+    dedup_stamps[slot] = dedup_stamp;
+    dedup_ids[slot] = static_cast<int32_t>(mi);
+  }
+}
+
 void CompiledMatchScratch::Prepare(const CompiledRulePlan& plan,
                                    const std::vector<Constraint>& constraints) {
   const size_t n = constraints.size();
@@ -349,6 +388,11 @@ void CompiledMatchScratch::Prepare(const CompiledRulePlan& plan,
   out_bindings.clear();
   rule_head.assign(static_cast<size_t>(plan.num_rules()), -1);
   rule_tail.assign(static_cast<size_t>(plan.num_rules()), -1);
+  dedup_live = 0;
+  if (++dedup_stamp == 0) {  // wrapped: forget every stale stamp
+    std::fill(dedup_stamps.begin(), dedup_stamps.end(), 0u);
+    dedup_stamp = 1;
+  }
   viewref_used_ = 0;
 
   // Counting sort into per-slot buckets: each constraint lands in its op's
@@ -420,12 +464,15 @@ std::vector<Matching> MatchSpecCompiled(const MappingSpec& spec,
       m.constraint_indices.assign(
           scratch.out_indices.begin() + fm.idx_begin,
           scratch.out_indices.begin() + fm.idx_begin + fm.idx_count);
+      // Arena slots bind distinct variables, so plain inserts suffice.
+      std::map<std::string, Term> vars;
       for (int32_t b = 0; b < fm.bind_count; ++b) {
         const BindingArena::Slot& slot =
             scratch.out_bindings[static_cast<size_t>(fm.bind_begin + b)];
-        m.bindings.BindOrCheck(plan->vars[static_cast<size_t>(slot.var)],
-                               MaterializeTermRef(slot.ref));
+        vars.emplace(plan->vars[static_cast<size_t>(slot.var)],
+                     MaterializeTermRef(slot.ref));
       }
+      m.bindings = Bindings(std::move(vars));
       const Rule& rule = rules[static_cast<size_t>(r)];
       m.rule = &rule;
       m.rule_name = rule.name;

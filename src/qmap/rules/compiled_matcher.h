@@ -117,6 +117,10 @@ struct FlatMatching {
   int32_t bind_begin = 0;
   int32_t bind_count = 0;
   int32_t next = -1;
+  /// Hash of (rule, sorted constraint indices); set when the matching sits
+  /// in the scratch's dedup table (its accept is not dedup-free).
+  uint64_t key = 0;
+  bool in_dedup = false;
 };
 
 /// All mutable state of one compiled-matcher run. Every container keeps its
@@ -163,6 +167,21 @@ class CompiledMatchScratch {
   std::vector<int32_t> rule_head;  // first matching of each rule, -1 if none
   std::vector<int32_t> rule_tail;
   std::vector<int32_t> sorted;  // per-accept index sort scratch
+
+  /// Dedup index over the matchings whose head can assign one constraint
+  /// set in several orders: open-addressed slots of matching ids keyed by
+  /// FlatMatching::key, so an accept compares only against matchings of
+  /// the same rule and constraint set (a per-rule chain walk is quadratic
+  /// in the matchings of an ambiguous head). A slot is live only while its
+  /// stamp equals dedup_stamp, which Prepare advances: nothing is cleared
+  /// per run, and capacity is kept across runs.
+  std::vector<int32_t> dedup_ids;
+  std::vector<uint32_t> dedup_stamps;
+  uint32_t dedup_stamp = 0;
+  size_t dedup_live = 0;
+  /// Makes room for one more dedup entry, rehashing the live ones when the
+  /// table would pass half full.
+  void ReserveDedupSlot();
 
  private:
   std::vector<int32_t> fill_cursor_;

@@ -38,6 +38,8 @@ bool TermEquals(const Term& a, const Term& b);
 class Bindings {
  public:
   Bindings() = default;
+  /// An environment built elsewhere (no undo log: nothing to roll back).
+  explicit Bindings(std::map<std::string, Term> vars) : vars_(std::move(vars)) {}
   Bindings(const Bindings& other) : vars_(other.vars_) {}
   Bindings& operator=(const Bindings& other) {
     if (this != &other) {

@@ -83,7 +83,7 @@ struct DeadlineBudget {
 /// TranslateBatch). Workers poll it between units of work; nothing preempts
 /// a translation already running. The token lives on the *caller's* stack,
 /// so the fan-out must never let a worker outlive the caller's wait — see
-/// the lifetime contract in TranslationService::TranslateFull.
+/// the lifetime contract in FanOut::Run (qmap/service/fanout.h).
 struct CancelToken {
   std::atomic<bool> cancelled{false};
   DeadlineBudget budget;

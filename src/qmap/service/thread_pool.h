@@ -22,7 +22,7 @@ class MetricsRegistry;
 /// Cancellation contract: the pool has no preemption and no task removal —
 /// every submitted task runs exactly once. Cancellation is therefore
 /// *cooperative*: a caller that hands workers pointers into its own stack
-/// frame (the fan-out pattern in TranslationService::TranslateFull) must
+/// frame (the fan-out pattern in FanOut::Run, qmap/service/fanout.h) must
 /// wait for all of its tasks to finish before returning, even when the
 /// request's deadline has already expired; tasks observe a CancelToken and
 /// return early instead of being abandoned. Dropping the wait would leave
