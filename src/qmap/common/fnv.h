@@ -8,8 +8,8 @@ namespace qmap {
 
 /// Incremental FNV-1a 64-bit hasher — the fingerprint primitive of the
 /// interned query IR (see DESIGN.md §9).  All canonical hashes in the
-/// library (Value/Attr::CanonicalHash, Constraint/Query fingerprints, memo
-/// and cache keys) are built from this one stream so that equal inputs hash
+/// library (Value/Attr::CanonicalHash, Constraint/Query fingerprints and
+/// cache keys) are built from this one stream so that equal inputs hash
 /// equal across layers, processes, and the intern on/off toggle.
 class Fnv64 {
  public:

@@ -53,9 +53,8 @@ namespace qmap {
 struct TranslationStats {
   MatchCounters match;
 
-  // Per-translation match memo (qmap/core/match_memo.h): conjunctions whose
-  // matchings were answered from / inserted into the memo. Zero when no memo
-  // is in scope.
+  // Always zero: nothing caches rule matchings. Kept because e2ebench still
+  // reads them.
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
 

@@ -20,10 +20,10 @@ class MetricsRegistry;
 /// process still references. Entries are verified exactly on
 /// fingerprint-bucket hits, so interning itself is collision-proof.
 ///
-/// Set the QMAP_DISABLE_INTERN environment variable (any value, checked once
-/// at first use) or call SetQueryInternEnabled(false) to construct plain
-/// un-interned nodes instead — used by the A/B benchmarks and the
-/// equivalence tests. Fingerprints are computed either way; only sharing and
+/// SetQueryInternEnabled(false) constructs plain un-interned nodes instead;
+/// intern_equiv_test uses that as its byte-identity reference. Production
+/// keeps interning on: without it the end-to-end benchmark's peak RSS grows
+/// by half or more. Fingerprints are computed either way; only sharing and
 /// the pointer-equality guarantee are affected. The toggle is not
 /// thread-safe against concurrent query construction.
 
@@ -42,8 +42,8 @@ struct InternStats {
 
 InternStats QueryInternStats();
 
-/// Programmatic override of the QMAP_DISABLE_INTERN toggle (tests and A/B
-/// benchmark runs). Not thread-safe against concurrent query construction.
+/// Turns interning off or back on (the equivalence tests' reference). Not
+/// thread-safe against concurrent query construction.
 void SetQueryInternEnabled(bool enabled);
 bool QueryInternEnabled();
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <unordered_map>
@@ -39,7 +38,7 @@ uint64_t BranchFingerprint(NodeKind kind, const std::vector<Query>& children) {
 }
 
 bool& InternFlag() {
-  static bool enabled = std::getenv("QMAP_DISABLE_INTERN") == nullptr;
+  static bool enabled = true;
   return enabled;
 }
 

@@ -32,7 +32,7 @@ class FederatedCatalog::FanOutSources : public FanOut::Sources {
         member.name, query_, cancel,
         [&] {
           return member.transport->Translate(query_, trace, parent_span,
-                                             /*memo=*/nullptr, cancel);
+                                             /*unused=*/nullptr, cancel);
         },
         report, trace, parent_span);
     // The data-conversion direction is a source call too: a fault scripted

@@ -77,7 +77,7 @@ class Mediator::FanOutSources : public FanOut::Sources {
         name(i), full_, cancel,
         [&] {
           return transport->Translate(full_, trace, parent_span,
-                                      /*memo=*/nullptr, cancel);
+                                      /*unused=*/nullptr, cancel);
         },
         report, trace, parent_span);
   }

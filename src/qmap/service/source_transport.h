@@ -9,7 +9,7 @@
 
 namespace qmap {
 
-class MatchMemo;
+class MatchMemo;  // see Translate
 class Trace;
 
 /// Where a source's per-query translation actually runs. Every source in a
@@ -27,16 +27,15 @@ class SourceTransport {
 
   /// Translates the full query (view constraints already conjoined) for
   /// this transport's source. `trace`/`parent_span` attach per-call spans;
-  /// `memo` is the caller's per-request match memo (null for transports
-  /// that cannot use one — remote matching memoizes on the worker);
   /// `cancel` carries the remaining deadline budget for propagation.
-  /// Any of trace/memo/cancel may be null.
+  /// Either may be null.
+  /// `unused` is always null: kept for e2ebench's TracedTransport override.
   virtual Result<Translation> Translate(const Query& full, Trace* trace,
-                                        uint64_t parent_span, MatchMemo* memo,
+                                        uint64_t parent_span, MatchMemo* unused,
                                         const CancelToken* cancel) = 0;
 
-  /// The mapping spec when translation is local (used to build match
-  /// memos); null when the rules live elsewhere.
+  /// The mapping spec when translation is local (read by the containment
+  /// pre-pass, PruneContainedSources); null when the rules live elsewhere.
   virtual const MappingSpec* spec() const { return nullptr; }
 
   /// Human-readable location for scoreboards and traces, e.g. "local" or
@@ -52,10 +51,10 @@ class InProcessTransport : public SourceTransport {
       : translator_(std::move(translator)) {}
 
   Result<Translation> Translate(const Query& full, Trace* trace,
-                                uint64_t parent_span, MatchMemo* memo,
+                                uint64_t parent_span, MatchMemo* /*unused*/,
                                 const CancelToken* cancel) override {
     (void)cancel;  // deadline enforcement wraps the call (resilience guard)
-    return translator_.Translate(full, trace, parent_span, memo);
+    return translator_.Translate(full, trace, parent_span);
   }
 
   const MappingSpec* spec() const override { return &translator_.spec(); }

@@ -8,7 +8,6 @@
 
 #include "qmap/common/fnv.h"
 #include "qmap/common/version.h"
-#include "qmap/core/match_memo.h"
 #include "qmap/expr/intern.h"
 #include "qmap/expr/printer.h"
 #include "qmap/obs/json.h"
@@ -101,7 +100,6 @@ TranslationService::TranslationService(ServiceOptions options)
     match_attempts_counter_ =
         &metrics->counter("qmap_match_pattern_attempts_total");
     match_index_hits_counter_ = &metrics->counter("qmap_match_index_hits_total");
-    match_memo_hits_counter_ = &metrics->counter("qmap_match_memo_hits_total");
     match_saved_counter_ = &metrics->counter("qmap_match_attempts_saved_total");
     match_compiled_hits_counter_ = &metrics->counter(
         "qmap_match_compiled_hits",
@@ -321,29 +319,13 @@ void TranslationService::SetViewConstraints(Query constraints) {
   cache_.Clear();
 }
 
-std::vector<std::unique_ptr<MatchMemo>> TranslationService::MakeMemoScope()
-    const {
-  std::vector<std::unique_ptr<MatchMemo>> memos;
-  if (!options_.translator.use_match_memo) return memos;
-  memos.reserve(sources_.size());
-  for (const SourceEntry& source : sources_) {
-    // Index alignment with sources_ matters; remote sources (no local spec)
-    // contribute a null slot rather than being skipped.
-    const MappingSpec* spec = source.transport->spec();
-    memos.push_back(spec == nullptr
-                        ? nullptr
-                        : std::make_unique<MatchMemo>(spec,
-                                                      /*thread_safe=*/true));
-  }
-  return memos;
-}
-
 Result<Translation> TranslationService::TranslateOne(
     const SourceEntry& source, const Query& full, Trace* trace,
-    uint64_t parent_span, MatchMemo* memo, const CancelToken* cancel,
+    uint64_t parent_span, const CancelToken* cancel,
     ResilienceManager::CallReport* report) const {
   const auto attempt = [&]() {
-    return source.transport->Translate(full, trace, parent_span, memo, cancel);
+    return source.transport->Translate(full, trace, parent_span,
+                                       /*unused=*/nullptr, cancel);
   };
   const auto guarded = [&]() -> Result<Translation> {
     // Scoreboard accounting: only real source work counts as a call (cache
@@ -423,9 +405,8 @@ Result<Translation> TranslationService::TranslateOne(
 // through TranslateOne (cache → store → guarded translate).
 class TranslationService::FanOutSources : public FanOut::Sources {
  public:
-  FanOutSources(const TranslationService& service, const Query& full,
-                const std::vector<std::unique_ptr<MatchMemo>>& memos)
-      : service_(service), full_(full), memos_(memos) {}
+  FanOutSources(const TranslationService& service, const Query& full)
+      : service_(service), full_(full) {}
 
   size_t size() const override { return service_.sources_.size(); }
   const std::string& name(size_t i) const override {
@@ -435,21 +416,16 @@ class TranslationService::FanOutSources : public FanOut::Sources {
       size_t i, const CancelToken* cancel, Trace* trace, uint64_t parent_span,
       ResilienceManager::CallReport* report) const override {
     return service_.TranslateOne(service_.sources_[i], full_, trace,
-                                 parent_span,
-                                 memos_.empty() ? nullptr : memos_[i].get(),
-                                 cancel, report);
+                                 parent_span, cancel, report);
   }
 
  private:
   const TranslationService& service_;
   const Query& full_;
-  const std::vector<std::unique_ptr<MatchMemo>>& memos_;
 };
 
 Result<MediatorTranslation> TranslationService::TranslateFull(
-    const Query& full, Trace* trace,
-    const std::vector<std::unique_ptr<MatchMemo>>& memos,
-    const CancelToken* cancel) const {
+    const Query& full, Trace* trace, const CancelToken* cancel) const {
   Span root(trace, "service.translate", 0);
   // Rendering is deferred to this detail-only path; the translation and
   // cache machinery below works purely on fingerprints.
@@ -459,12 +435,11 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
   (fanout.Parallel(n) ? parallel_tasks_ : inline_tasks_)
       .fetch_add(n, std::memory_order_relaxed);
   Result<MediatorTranslation> out =
-      fanout.Run(full, FanOutSources(*this, full, memos), Integration::kJoin,
+      fanout.Run(full, FanOutSources(*this, full), Integration::kJoin,
                  cancel, root);
   if (out.ok() && match_attempts_counter_ != nullptr) {
     match_attempts_counter_->Inc(out->stats.match.pattern_attempts);
     match_index_hits_counter_->Inc(out->stats.match.index_hits);
-    match_memo_hits_counter_->Inc(out->stats.memo_hits);
     match_saved_counter_->Inc(out->stats.match.pattern_attempts_saved);
     match_compiled_hits_counter_->Inc(out->stats.match.compiled_hits);
     BridgeCompileStats();
@@ -473,16 +448,14 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
 }
 
 Result<MediatorTranslation> TranslationService::TranslateObserved(
-    const Query& full, Trace* trace,
-    const std::vector<std::unique_ptr<MatchMemo>>& memos,
-    const CancelToken* cancel) const {
+    const Query& full, Trace* trace, const CancelToken* cancel) const {
   const SlowQueryLogOptions& slow = options_.obs.slow_query;
   // Head-sampling decision up front: the sampler counts every query it sees
   // (sampled or not), and a sampled query gets a trace even when the slow
   // log and metrics are off — the ring is its own consumer.
   const bool sampled = trace_ring_ != nullptr && trace_ring_->ShouldSample();
   const bool want_obs = slow.enabled || latency_hist_ != nullptr || sampled;
-  if (!want_obs) return TranslateFull(full, trace, memos, cancel);
+  if (!want_obs) return TranslateFull(full, trace, cancel);
 
   // The slow-query log wants a trace of every query so the slow ones come
   // with their per-source spans attached, the per-phase qmap_span_*
@@ -497,7 +470,7 @@ Result<MediatorTranslation> TranslationService::TranslateObserved(
   }
 
   const auto wall_start = std::chrono::steady_clock::now();
-  Result<MediatorTranslation> out = TranslateFull(full, trace, memos, cancel);
+  Result<MediatorTranslation> out = TranslateFull(full, trace, cancel);
   const uint64_t total_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - wall_start)
@@ -587,7 +560,7 @@ Result<MediatorTranslation> TranslationService::Translate(const Query& query,
   WarmUpFromStoreOnce();
   Query full = query & view_constraints_;
   CancelToken token;
-  return TranslateObserved(full, trace, MakeMemoScope(),
+  return TranslateObserved(full, trace,
                            FanOut(resilience_.get()).RequestToken(&token));
 }
 
@@ -618,10 +591,8 @@ Result<Translation> TranslationService::TranslateSource(
     cancel = &token;
   }
   ResilienceManager::CallReport report;
-  // No memo scope: a single-source call lets the Translator build its own
-  // per-call memo, which is exactly as effective for one query.
   return TranslateOne(*entry, full, /*trace=*/nullptr, /*parent_span=*/0,
-                      /*memo=*/nullptr, cancel, &report);
+                      cancel, &report);
 }
 
 Result<std::vector<MediatorTranslation>> TranslationService::TranslateBatch(
@@ -655,10 +626,6 @@ Result<std::vector<MediatorTranslation>> TranslationService::TranslateBatch(
     slot_of[q] = slot;
   }
 
-  // One memo scope for the whole batch: distinct queries against one source
-  // still share sub-conjunctions (hot root tables, common filters), so the
-  // per-source memos keep paying across the batch's unique queries.
-  std::vector<std::unique_ptr<MatchMemo>> memos = MakeMemoScope();
   // One budget for the whole batch: the request deadline covers every query
   // in it, so a stalled early query leaves less (possibly nothing) for the
   // later ones — budget propagation, not per-query reset.
@@ -673,7 +640,7 @@ Result<std::vector<MediatorTranslation>> TranslationService::TranslateBatch(
           std::to_string(unique_full.size()) + " unique queries");
     }
     Result<MediatorTranslation> translation =
-        TranslateObserved(unique_full[u], nullptr, memos, cancel);
+        TranslateObserved(unique_full[u], nullptr, cancel);
     if (!translation.ok()) return translation.status();
     unique_results.push_back(*std::move(translation));
   }

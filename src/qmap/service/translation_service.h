@@ -28,7 +28,6 @@ namespace qmap {
 
 class Counter;
 class Histogram;
-class MatchMemo;
 class MetricsRegistry;
 class Trace;
 
@@ -61,7 +60,7 @@ struct ObsOptions {
   /// (qmap_translate_total, qmap_translate_latency_us, qmap_cache_*_total,
   /// qmap_pool_*_us, qmap_slow_queries_total, the rule-matching counters
   /// qmap_match_pattern_attempts_total / qmap_match_index_hits_total /
-  /// qmap_match_memo_hits_total / qmap_match_attempts_saved_total, and
+  /// qmap_match_attempts_saved_total, and
   /// per-phase qmap_span_*_us from traced runs). Must outlive the service.
   MetricsRegistry* metrics = nullptr;
   SlowQueryLogOptions slow_query;
@@ -446,16 +445,6 @@ class TranslationService {
     uint64_t rule_set_fp = 0;
   };
 
-  /// Per-request match-memo scope: one thread-safe MatchMemo per source (in
-  /// sources_ order), built for that source's spec. Created per Translate
-  /// call and per TranslateBatch call (shared across the batch's unique
-  /// queries), so memoized matchings never outlive the request that made
-  /// them. Empty when options_.translator.use_match_memo is off — the
-  /// per-source Translator then falls back to its own per-call memo.
-  /// Remote sources (transport->spec() == nullptr) get a null slot: their
-  /// rule matching memoizes on the worker, not here.
-  std::vector<std::unique_ptr<MatchMemo>> MakeMemoScope() const;
-
   /// One per-source unit of work: cache lookup (typed fingerprint key),
   /// else translate (under the resilience guards when enabled) and fill.
   /// Degraded translations are never cached — a cached entry must be the
@@ -463,27 +452,23 @@ class TranslationService {
   /// not. Retries spent land in the source's scoreboard row.
   Result<Translation> TranslateOne(const SourceEntry& source, const Query& full,
                                    Trace* trace, uint64_t parent_span,
-                                   MatchMemo* memo, const CancelToken* cancel,
+                                   const CancelToken* cancel,
                                    ResilienceManager::CallReport* report) const;
 
   /// One full query (view constraints already conjoined) through the
   /// fan-out core (qmap/service/fanout.h) as a join, each source via
-  /// TranslateOne, plus the pool and match counters. `memos` is the
-  /// request's memo scope (may be empty).
-  Result<MediatorTranslation> TranslateFull(
-      const Query& full, Trace* trace,
-      const std::vector<std::unique_ptr<MatchMemo>>& memos,
-      const CancelToken* cancel) const;
+  /// TranslateOne, plus the pool and match counters.
+  Result<MediatorTranslation> TranslateFull(const Query& full, Trace* trace,
+                                            const CancelToken* cancel) const;
 
   /// TranslateFull plus the observability envelope: wall-clock timing, the
   /// latency histogram, folding trace spans into per-phase metrics, and
   /// slow-query capture (which renders the query text lazily). Creates an
   /// internal Trace when the caller passed none but metrics or the
   /// slow-query log need one.
-  Result<MediatorTranslation> TranslateObserved(
-      const Query& full, Trace* trace,
-      const std::vector<std::unique_ptr<MatchMemo>>& memos,
-      const CancelToken* cancel) const;
+  Result<MediatorTranslation> TranslateObserved(const Query& full,
+                                                Trace* trace,
+                                                const CancelToken* cancel) const;
 
   /// Refreshes the point-in-time gauges (pool queue depth, cache entries,
   /// store live records, per-source breaker state) in the attached registry.
@@ -549,7 +534,6 @@ class TranslationService {
   Histogram* latency_hist_ = nullptr;
   Counter* match_attempts_counter_ = nullptr;
   Counter* match_index_hits_counter_ = nullptr;
-  Counter* match_memo_hits_counter_ = nullptr;
   Counter* match_saved_counter_ = nullptr;
   Counter* match_compiled_hits_counter_ = nullptr;
   Counter* match_compile_ns_counter_ = nullptr;

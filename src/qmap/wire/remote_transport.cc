@@ -31,9 +31,8 @@ RemoteTransport::RemoteTransport(std::string source, std::string endpoint,
 
 Result<Translation> RemoteTransport::Translate(const Query& full, Trace* trace,
                                                uint64_t parent_span,
-                                               MatchMemo* memo,
+                                               MatchMemo* /*unused*/,
                                                const CancelToken* cancel) {
-  (void)memo;  // rule matching memoizes on the worker, not here
   Span rpc_span(trace, "rpc.translate", parent_span);
   if (rpc_span.enabled()) {
     rpc_span.AddAttr("source", source_);

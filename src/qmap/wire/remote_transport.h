@@ -49,7 +49,7 @@ class RemoteTransport : public SourceTransport {
                   RemoteTransportOptions options = {});
 
   Result<Translation> Translate(const Query& full, Trace* trace,
-                                uint64_t parent_span, MatchMemo* memo,
+                                uint64_t parent_span, MatchMemo* unused,
                                 const CancelToken* cancel) override;
 
   std::string endpoint() const override { return endpoint_; }

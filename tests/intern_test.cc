@@ -1,5 +1,5 @@
 // Tests for the hash-consed query IR (DESIGN.md §9): interned node identity,
-// fingerprint semantics, the QMAP_DISABLE_INTERN toggle, intern-table stats
+// fingerprint semantics, the SetQueryInternEnabled toggle, intern-table stats
 // and metrics, the fingerprint-keyed cache key types, the live-set table
 // lifetime (nodes leave the tables with their last handle), and identity
 // under construction racing destruction (InternConcurrency, run under TSan).
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "qmap/contexts/synthetic.h"
-#include "qmap/core/match_memo.h"
 #include "qmap/expr/printer.h"
 #include "qmap/expr/query.h"
 #include "qmap/obs/metrics.h"
@@ -204,14 +203,6 @@ TEST(Intern, MixedModeStructuralEqualityIsExact) {
   EXPECT_TRUE(canonical.StructurallyEquals(plain));
   EXPECT_TRUE(plain.StructurallyEquals(canonical));
   EXPECT_EQ(canonical.fingerprint(), plain.fingerprint());
-}
-
-TEST(MatchMemoKey, OrderSensitiveAndStable) {
-  std::vector<Constraint> ab = {C("[a = 1]"), C("[b = 2]")};
-  std::vector<Constraint> ba = {C("[b = 2]"), C("[a = 1]")};
-  EXPECT_EQ(MatchMemo::KeyOf(ab), MatchMemo::KeyOf(ab));
-  EXPECT_NE(MatchMemo::KeyOf(ab), MatchMemo::KeyOf(ba));
-  EXPECT_NE(MatchMemo::KeyOf(ab), MatchMemo::KeyOf({ab[0]}));
 }
 
 TEST(TranslationCacheKeyTest, KeysDifferingInOneHalfCoexist) {

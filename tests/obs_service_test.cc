@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "qmap/contexts/amazon.h"
 #include "qmap/contexts/faculty.h"
 #include "qmap/obs/metrics.h"
 #include "qmap/obs/trace.h"
@@ -135,6 +136,22 @@ TEST(ObsService, MetricsRegistryIsPopulated) {
   EXPECT_NE(prom.find("qmap_translate_latency_us_bucket"), std::string::npos);
   EXPECT_NE(prom.find("qmap_span_tdqm_us"), std::string::npos) << prom;
   EXPECT_NE(prom.find("qmap_translate_total 3"), std::string::npos);
+}
+
+TEST(ObsService, ExportsMatchCounters) {
+  MetricsRegistry registry;
+  ServiceOptions options;
+  options.num_threads = 1;
+  options.obs.metrics = &registry;
+  TranslationService service(options);
+  service.AddSource("amazon", AmazonSpec());
+  Query query = Q(
+      "([pyear = 1997] and ([pmonth = 5] or [pmonth = 6])) or "
+      "(([pyear = 1997] or [pmonth = 5]) and [pmonth = 6])");
+  ASSERT_TRUE(service.Translate(query).ok());
+  EXPECT_GT(registry.counter("qmap_match_pattern_attempts_total").value(), 0u);
+  EXPECT_GT(registry.counter("qmap_match_index_hits_total").value(), 0u);
+  EXPECT_GT(registry.counter("qmap_match_attempts_saved_total").value(), 0u);
 }
 
 TEST(ObsService, MetricsDoNotChangeResults) {
