@@ -5,24 +5,27 @@
 #include <memory>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 namespace qmap {
 
 /// Double-checked, atomically published lazy shared value.
 ///
 /// The publication discipline of MappingSpec's compiled rule plan: readers
-/// take the fast path — a single acquire load of the shared_ptr, no lock —
-/// and only the first builder (or a reader racing the first builder) takes
-/// the mutex. The value
-/// is stored via release so a reader that observes the pointer observes the
-/// fully built object. GetOrBuild never runs `build` twice for one published
-/// value: losers of the build race re-check under the lock and adopt the
-/// winner's result.
+/// take the fast path — an acquire load of a pointer to an immutable slot
+/// and a copy of its shared_ptr, no lock — and only the first builder (or a
+/// reader racing the first builder) takes the mutex. GetOrBuild never runs
+/// `build` twice for one published value: losers of the build race re-check
+/// under the lock and adopt the winner's result.
 ///
 /// Invalidate() clears the published value; a later GetOrBuild rebuilds.
-/// Invalidate must not race GetOrBuild on semantics the caller cares about
-/// (MappingSpec already forbids AddRule racing readers), but the helper
-/// itself is data-race-free either way.
+/// A reader may still be copying out of an unpublished slot, so slots (and
+/// their values) live until the LazyShared dies; publications are
+/// setup-phase events, so there are few. Invalidate must not race
+/// GetOrBuild on semantics the caller cares about (MappingSpec already
+/// forbids AddRule racing readers), but the helper itself is data-race-free
+/// either way — in terms ThreadSanitizer models, unlike libstdc++'s
+/// lock-bit std::atomic<std::shared_ptr>.
 template <typename T>
 class LazyShared {
  public:
@@ -34,34 +37,46 @@ class LazyShared {
   /// `build` must return std::shared_ptr<const T>.
   template <typename Build>
   std::shared_ptr<const T> GetOrBuild(Build&& build) const {
-    if (std::shared_ptr<const T> v = value_.load(std::memory_order_acquire)) {
-      return v;
-    }
+    if (const Slot* slot = slot_.load(std::memory_order_acquire)) return *slot;
     std::lock_guard<std::mutex> lock(mu_);
-    if (std::shared_ptr<const T> v = value_.load(std::memory_order_acquire)) {
-      return v;
-    }
+    if (const Slot* slot = slot_.load(std::memory_order_acquire)) return *slot;
     std::shared_ptr<const T> built = build();
-    value_.store(built, std::memory_order_release);
+    PublishLocked(built);
     return built;
   }
 
   /// The published value without building: nullptr when absent.
   std::shared_ptr<const T> Peek() const {
-    return value_.load(std::memory_order_acquire);
+    const Slot* slot = slot_.load(std::memory_order_acquire);
+    return slot != nullptr ? *slot : nullptr;
   }
 
   /// Drops the published value (next GetOrBuild rebuilds).
-  void Invalidate() { value_.store(nullptr, std::memory_order_release); }
+  void Invalidate() { Set(nullptr); }
 
   /// Adopts an already built value (copy/move of the owning object).
   void Set(std::shared_ptr<const T> v) {
-    value_.store(std::move(v), std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mu_);
+    PublishLocked(std::move(v));
   }
 
  private:
+  using Slot = const std::shared_ptr<const T>;
+
+  // Publishes `v` in a new slot; null unpublishes.
+  void PublishLocked(std::shared_ptr<const T> v) const {
+    const Slot* next = nullptr;
+    if (v != nullptr) {
+      slots_.push_back(std::make_unique<Slot>(std::move(v)));
+      next = slots_.back().get();
+    }
+    slot_.store(next, std::memory_order_release);
+  }
+
   mutable std::mutex mu_;
-  mutable std::atomic<std::shared_ptr<const T>> value_{nullptr};
+  mutable std::atomic<const Slot*> slot_{nullptr};
+  // Every slot ever published, the current one included (guarded by mu_).
+  mutable std::vector<std::unique_ptr<Slot>> slots_;
 };
 
 }  // namespace qmap

@@ -82,12 +82,6 @@ class EdnfComputer {
     return potential_matchings_;
   }
 
-  /// The full potential matchings M_p = M(C(Q), K), bindings included, with
-  /// constraint indices referring to table() order.  Section 7.1.3: "we can
-  /// reuse the potential matchings M_p computed in Procedure EDNF in the
-  /// actual mapping process" — see ScmFromMatchings / TdqmOptions.
-  const std::vector<Matching>& all_matchings() const { return all_matchings_; }
-
   /// Exact matchings of the subconjunction `constraints`: the potential
   /// matchings wholly contained in it.
   std::vector<ConstraintSet> MatchingsWithin(const ConstraintSet& constraints) const;

@@ -11,32 +11,11 @@ void Mediator::AddSource(SourceContext source) {
   sources_.push_back(std::move(source));
 }
 
-ContainmentAnalysis Mediator::AnalyzeSourceContainment() const {
-  std::vector<std::string> names;
-  std::vector<const MappingSpec*> specs;
-  names.reserve(sources_.size());
-  specs.reserve(sources_.size());
-  for (const SourceContext& source : sources_) {
-    names.push_back(source.name());
-    specs.push_back(&source.spec());
-  }
-  return AnalyzeContainment(names, specs);
-}
-
 const SourceContext* Mediator::FindSource(const std::string& name) const {
   for (const SourceContext& source : sources_) {
     if (source.name() == name) return &source;
   }
   return nullptr;
-}
-
-void Mediator::SetSourceTransport(const std::string& name,
-                                  std::shared_ptr<SourceTransport> transport) {
-  if (transport == nullptr) {
-    transports_.erase(name);
-  } else {
-    transports_[name] = std::move(transport);
-  }
 }
 
 void Mediator::AddConversion(ConversionFn conversion) {
@@ -55,7 +34,7 @@ void Mediator::SetResilience(const ResilienceOptions& options,
 }
 
 // The mediator's sources as the fan-out core sees them: each source's
-// transport (an override, or its in-process translator) under the guards.
+// in-process translator under the guards.
 class Mediator::FanOutSources : public FanOut::Sources {
  public:
   FanOutSources(const Mediator& mediator, const FanOut& fanout,
@@ -69,10 +48,7 @@ class Mediator::FanOutSources : public FanOut::Sources {
   Result<Translation> Translate(
       size_t i, const CancelToken* cancel, Trace* trace, uint64_t parent_span,
       ResilienceManager::CallReport* report) const override {
-    auto it = mediator_.transports_.find(name(i));
-    SourceTransport* transport = it != mediator_.transports_.end()
-                                     ? it->second.get()
-                                     : mediator_.in_process_[i].get();
+    SourceTransport* transport = mediator_.in_process_[i].get();
     return fanout_.Guarded(
         name(i), full_, cancel,
         [&] {
@@ -111,7 +87,7 @@ Result<TupleSet> Mediator::ConvertedCross(const MediatorTranslation* translation
         return Status::NotFound("no translation for source '" + source.name() +
                                 "' (source added after Translate?)");
       }
-      source_tuples = Select(source_tuples, it->second.mapped, semantics_);
+      source_tuples = Select(source_tuples, it->second.mapped);
     }
     combined = Cross(combined, source_tuples);
   }
@@ -141,14 +117,14 @@ Result<TupleSet> Mediator::ExecuteTranslated(
   }
   Result<TupleSet> converted = ConvertedCross(&translation);
   if (!converted.ok()) return converted;
-  return Select(*converted, translation.filter, semantics_);
+  return Select(*converted, translation.filter);
 }
 
 Result<TupleSet> Mediator::ExecuteDirect(const Query& query) const {
   Result<TupleSet> converted = ConvertedCross(nullptr);
   if (!converted.ok()) return converted;
   Query full = query & view_constraints_;
-  return Select(*converted, full, semantics_);
+  return Select(*converted, full);
 }
 
 }  // namespace qmap

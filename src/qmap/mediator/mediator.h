@@ -1,14 +1,12 @@
 #ifndef QMAP_MEDIATOR_MEDIATOR_H_
 #define QMAP_MEDIATOR_MEDIATOR_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "qmap/core/translator.h"
 #include "qmap/mediator/source.h"
-#include "qmap/rules/containment.h"
 #include "qmap/relalg/conversion.h"
 #include "qmap/service/fanout.h"
 #include "qmap/service/resilience.h"
@@ -36,15 +34,6 @@ class Mediator {
   const SourceContext* FindSource(const std::string& name) const;
   const std::vector<SourceContext>& sources() const { return sources_; }
 
-  /// Routes the named source's constraint mapping through `transport`
-  /// (e.g. a RemoteTransport to a shard worker) instead of translating
-  /// in-process from its spec. The source must still be AddSource'd — its
-  /// spec/capabilities stay the vocabulary of record for execution; only
-  /// where the *translation* runs changes. Pass nullptr to restore the
-  /// in-process default.
-  void SetSourceTransport(const std::string& name,
-                          std::shared_ptr<SourceTransport> transport);
-
   /// Registers a conversion function (applied in order, after crossing).
   void AddConversion(ConversionFn conversion);
 
@@ -54,9 +43,6 @@ class Mediator {
   /// evaluate at the mediator, through the filter.
   void SetViewConstraints(Query constraints);
   const Query& view_constraints() const { return view_constraints_; }
-
-  /// Optional custom constraint semantics used when executing queries.
-  void SetSemantics(const ConstraintSemantics* semantics) { semantics_ = semantics; }
 
   /// Enables graceful degradation for Translate: per-source retry/backoff,
   /// circuit breaking, deadline budgets, and (with options.allow_partial)
@@ -69,16 +55,6 @@ class Mediator {
                      FaultInjector* injector = nullptr,
                      MetricsRegistry* metrics = nullptr);
   ResilienceManager* resilience() const { return resilience_.get(); }
-
-  /// Advisory containment analysis over the registered sources: which
-  /// sources' mappings are provably contained in another's (see
-  /// qmap/rules/containment.h). The mediator itself never prunes — its
-  /// integration is a *join* (Eq. 2 crosses every source), so removing a
-  /// source changes the result. The analysis tells operators which sources
-  /// are mapping-redundant; actual fan-out pruning lives in
-  /// TranslationService::PruneContainedSources, whose union/replica caching
-  /// semantics make it sound.
-  ContainmentAnalysis AnalyzeSourceContainment() const;
 
   /// Translates `query` for every source and builds the combined filter:
   /// a constraint is dropped from F only if some source realizes it exactly.
@@ -121,12 +97,8 @@ class Mediator {
   /// by AddSource, so the rule plan is compiled once per source, not per
   /// call.
   std::vector<std::shared_ptr<SourceTransport>> in_process_;
-  /// Per-source transport overrides (see SetSourceTransport); sources not
-  /// listed translate through their in_process_ entry.
-  std::map<std::string, std::shared_ptr<SourceTransport>> transports_;
   std::vector<ConversionFn> conversions_;
   Query view_constraints_ = Query::True();
-  const ConstraintSemantics* semantics_ = nullptr;
   // Shared (not unique) so Mediator stays copyable; copies share breaker
   // state, which is the desired behavior for one logical federation.
   std::shared_ptr<ResilienceManager> resilience_;

@@ -60,7 +60,6 @@ class Conn {
     deadline_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
     has_deadline_ = true;
   }
-  void ClearDeadline() { has_deadline_ = false; }
 
   /// Scratch slot for the handler (e.g. per-connection quota state). The
   /// loop never touches it beyond destruction on close.
@@ -164,9 +163,6 @@ class EventLoop {
     Wake();
   }
   bool accepting() const { return accepting_.load(std::memory_order_acquire); }
-
-  /// Number of live connections; loop thread or post-Stop only.
-  size_t num_connections() const { return conns_.size(); }
 
   /// Looks a connection up by id. Loop thread only (i.e. from handler
   /// callbacks or Post()ed tasks); returns nullptr if it already closed.

@@ -176,11 +176,6 @@ std::vector<SpanRecord> Trace::spans() const {
   return spans_;
 }
 
-size_t Trace::num_spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
 std::string Trace::ToJson() const {
   return TraceJson(trace_id(), label_, capture_detail_, spans());
 }

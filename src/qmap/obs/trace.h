@@ -89,7 +89,6 @@ class Trace {
 
   /// Snapshot of all spans recorded so far.
   std::vector<SpanRecord> spans() const;
-  size_t num_spans() const;
 
   /// Snapshot of the whole trace as plain data — identical to parsing
   /// ToJson() back, without the serialization round trip. This is what the

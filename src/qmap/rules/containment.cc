@@ -193,16 +193,6 @@ bool RulesIsomorphic(const Rule& a, const Rule& b) {
 
 }  // namespace
 
-const char* ContainmentVerdictName(ContainmentVerdict verdict) {
-  switch (verdict) {
-    case ContainmentVerdict::kContains:
-      return "contains";
-    case ContainmentVerdict::kUnknown:
-      return "unknown";
-  }
-  return "unknown";
-}
-
 ContainmentVerdict Contains(const MappingSpec& a, const MappingSpec& b) {
   for (const Rule& rule_b : b.rules()) {
     bool found = false;

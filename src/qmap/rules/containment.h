@@ -19,8 +19,6 @@ enum class ContainmentVerdict {
   kUnknown,   // could not prove containment — do NOT prune
 };
 
-const char* ContainmentVerdictName(ContainmentVerdict verdict);
-
 /// Conservative syntactic containment check: returns kContains only when
 /// every rule of `b` is structurally isomorphic — up to a bijective variable
 /// renaming and head-pattern reordering — to some rule of `a`. Under that

@@ -66,12 +66,12 @@ class MappingSpec {
 
   /// The spec's compiled matching automaton (see qmap/rules/rule_program.h),
   /// built lazily on first use and cached until AddRule() invalidates it.
-  /// Published via LazyShared (double-checked atomic shared_ptr): readers
-  /// race-free from any thread at any time, the build runs at most once per
-  /// published value, and the returned plan stays valid independent of
-  /// this spec. Replacing the rule set swaps plans with one atomic pointer
-  /// store — in-flight matches keep their plan alive through the
-  /// shared_ptr.
+  /// Published via LazyShared (double-checked, one atomic slot pointer):
+  /// readers race-free from any thread at any time, the build runs at most
+  /// once per published value, and the returned plan stays valid
+  /// independent of this spec. Replacing the rule set swaps plans with one
+  /// atomic pointer store — in-flight matches keep their plan alive through
+  /// the shared_ptr.
   std::shared_ptr<const CompiledRulePlan> compiled_plan() const;
 
   /// Extra entropy mixed into fingerprint() when nonzero. The offline

@@ -69,14 +69,6 @@ void FaultInjector::SetStallRate(const std::string& key, double probability,
   rates.stall_us = stall_us;
 }
 
-void FaultInjector::SetDegradeRate(const std::string& key, double probability,
-                                   uint32_t level) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Rates& rates = KeyStateLocked(key).rates;
-  rates.degrade = probability;
-  rates.degrade_level = level;
-}
-
 Fault FaultInjector::Next(const std::string& key) {
   calls_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
@@ -90,7 +82,7 @@ Fault FaultInjector::Next(const std::string& key) {
     return fault;
   }
   const Rates& rates = state.rates;
-  if (rates.fail <= 0.0 && rates.stall <= 0.0 && rates.degrade <= 0.0) {
+  if (rates.fail <= 0.0 && rates.stall <= 0.0) {
     return Fault{};
   }
   std::uniform_real_distribution<double> coin(0.0, 1.0);
@@ -101,9 +93,6 @@ Fault FaultInjector::Next(const std::string& key) {
   } else if (rates.stall > 0.0 && coin(state.rng) < rates.stall) {
     fault.kind = FaultKind::kStall;
     fault.stall_us = rates.stall_us;
-  } else if (rates.degrade > 0.0 && coin(state.rng) < rates.degrade) {
-    fault.kind = FaultKind::kDegrade;
-    fault.degrade_level = rates.degrade_level;
   }
   if (fault.kind != FaultKind::kNone) {
     injected_.fetch_add(1, std::memory_order_relaxed);

@@ -64,14 +64,12 @@ class FaultInjector {
   void DegradeNext(const std::string& key, int count, uint32_t level = 1);
 
   /// Probabilistic faults for `key`, applied after scripted faults run out.
-  /// Probabilities are evaluated in order fail → stall → degrade; at most
-  /// one fires per call.
+  /// Probabilities are evaluated in order fail → stall; at most one fires
+  /// per call.
   void SetFailRate(const std::string& key, double probability,
                    Status status = Status::Unavailable("injected fault"));
   void SetStallRate(const std::string& key, double probability,
                     uint64_t stall_us);
-  void SetDegradeRate(const std::string& key, double probability,
-                      uint32_t level = 1);
 
   /// The fault (possibly kNone) for the next call against `key`.
   Fault Next(const std::string& key);
@@ -90,10 +88,8 @@ class FaultInjector {
   struct Rates {
     double fail = 0.0;
     double stall = 0.0;
-    double degrade = 0.0;
     Status fail_status;
     uint64_t stall_us = 0;
-    uint32_t degrade_level = 1;
   };
   struct PerKey {
     std::deque<Fault> scripted;

@@ -436,17 +436,6 @@ CircuitBreaker::State ResilienceManager::breaker_state(
   return it->second->state();
 }
 
-std::vector<std::pair<std::string, CircuitBreaker::State>>
-ResilienceManager::breaker_states() const {
-  std::lock_guard<std::mutex> lock(breakers_mu_);
-  std::vector<std::pair<std::string, CircuitBreaker::State>> out;
-  out.reserve(breakers_.size());
-  for (const auto& [source, breaker] : breakers_) {
-    out.emplace_back(source, breaker->state());
-  }
-  return out;
-}
-
 void ResilienceManager::RecordPartialResult(size_t) {
   partial_results_.fetch_add(1, std::memory_order_relaxed);
   if (partials_counter_ != nullptr) partials_counter_->Inc();

@@ -299,12 +299,6 @@ class ResilienceManager {
   /// Breaker state for `source` (kClosed if never called).
   CircuitBreaker::State breaker_state(const std::string& source) const;
 
-  /// All breakers instantiated so far, as (source, state) pairs in source
-  /// order. Sources never guarded yet have no breaker and do not appear —
-  /// callers that want the full federation view default those to kClosed.
-  std::vector<std::pair<std::string, CircuitBreaker::State>> breaker_states()
-      const;
-
   /// Counts one partial result served (the per-failed-source counting
   /// happens inside GuardedTranslate's callers via the report).
   void RecordPartialResult(size_t num_failed_sources);

@@ -1,7 +1,6 @@
 #include "qmap/service/translation_service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <unordered_map>
 #include <utility>
@@ -42,26 +41,13 @@ std::string OptionsTag(const TranslatorOptions& options) {
 // source name and the options tag).
 constexpr char kKeySep = '\x1f';
 
-// Failures worth a negative store record: permanent properties of (query,
-// rule set) that will recur identically until the rules change. Transient
-// resilience-category failures (unavailable, deadline, cancelled, internal)
-// must never be persisted — the next attempt may succeed.
-bool IsPermanentFailure(StatusCode code) {
-  switch (code) {
-    case StatusCode::kInvalidArgument:
-    case StatusCode::kNotFound:
-    case StatusCode::kUnsupported:
-    case StatusCode::kParseError:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 TranslationService::TranslationService(ServiceOptions options)
-    : options_(options), cache_(options.cache) {
+    : options_(options),
+      tier_(options.enable_cache, options.cache, options.store,
+            options.obs.metrics),
+      observer_(options.obs) {
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
@@ -70,33 +56,12 @@ TranslationService::TranslationService(ServiceOptions options)
         options_.resilience, options_.clock, options_.fault_injector,
         options_.obs.metrics);
   }
-  if (options_.enable_cache && !options_.store.path.empty()) {
-    auto store = TranslationStore::Open(options_.store);
-    if (store.ok()) {
-      store_ = std::move(store).value();
-    } else {
-      // Cache-only degradation: a service that cannot reach its disk tier
-      // still translates correctly, just without restart warmth.
-      store_open_status_ = store.status();
-    }
-  }
-  if (options_.obs.trace_ring.enabled) {
-    trace_ring_ = std::make_unique<TraceRing>(options_.obs.trace_ring);
-  }
   if (options_.obs.metrics != nullptr) {
     MetricsRegistry* metrics = options_.obs.metrics;
-    cache_.AttachMetrics(metrics);
-    if (store_ != nullptr) store_->AttachMetrics(metrics);
     AttachInternMetrics(metrics);
     if (pool_ != nullptr) pool_->AttachMetrics(metrics);
     translate_counter_ = &metrics->counter(
         "qmap_translate_total", "Translate calls received by the service.");
-    slow_counter_ = &metrics->counter(
-        "qmap_slow_queries_total",
-        "Queries captured by the slow-query log (lifetime, not ring size).");
-    latency_hist_ = &metrics->histogram(
-        "qmap_translate_latency_us",
-        "End-to-end Translate wall time in microseconds.");
     match_attempts_counter_ =
         &metrics->counter("qmap_match_pattern_attempts_total");
     match_index_hits_counter_ = &metrics->counter("qmap_match_index_hits_total");
@@ -135,8 +100,6 @@ TranslationService::~TranslationService() {
   StopAdmin();
   if (options_.obs.metrics != nullptr) {
     DetachInternMetricsIf(options_.obs.metrics);
-    cache_.DetachMetricsIf(options_.obs.metrics);
-    if (store_ != nullptr) store_->DetachMetricsIf(options_.obs.metrics);
   }
 }
 
@@ -254,8 +217,8 @@ Status TranslationService::AddChainImpl(std::string name,
     root.AddAttr("composed_rules", std::to_string(composed.rules().size()));
     root.AddAttr("exact", exact ? "true" : "false");
   }
-  if (trace_ring_ != nullptr) {
-    trace_ring_->Insert(trace.ToParsed(), /*outlier=*/true);
+  if (TraceRing* ring = observer_.trace_ring()) {
+    ring->Insert(trace.ToParsed(), /*outlier=*/true);
   }
 
   chain.composed_rules = static_cast<int>(composed.rules().size());
@@ -316,28 +279,31 @@ size_t TranslationService::PruneContainedSources() {
 
 void TranslationService::SetViewConstraints(Query constraints) {
   view_constraints_ = std::move(constraints);
-  cache_.Clear();
+  tier_.ClearCache();
 }
 
 Result<Translation> TranslationService::TranslateOne(
     const SourceEntry& source, const Query& full, Trace* trace,
     uint64_t parent_span, const CancelToken* cancel,
     ResilienceManager::CallReport* report) const {
-  const auto attempt = [&]() {
-    return source.transport->Translate(full, trace, parent_span,
-                                       /*unused=*/nullptr, cancel);
-  };
-  const auto guarded = [&]() -> Result<Translation> {
+  const TranslationCacheKey key{source.cache_key_prefix, source.rule_set_fp,
+                                full.fingerprint()};
+  return tier_.GetOrTranslate(key, trace, parent_span, *report, [&] {
     // Scoreboard accounting: only real source work counts as a call (cache
-    // and store hits return before this point), and in_flight brackets the
-    // whole guarded window including retries and backoff.
+    // and store hits never get here), and in_flight brackets the whole
+    // guarded window including retries and backoff.
     SourceRuntime& runtime = *source.runtime;
     runtime.calls.fetch_add(1, std::memory_order_relaxed);
     runtime.in_flight.fetch_add(1, std::memory_order_relaxed);
-    Result<Translation> result = FanOut(resilience_.get())
-                                     .Guarded(source.name, full, cancel,
-                                              attempt, report, trace,
-                                              parent_span);
+    Result<Translation> result =
+        FanOut(resilience_.get())
+            .Guarded(source.name, full, cancel,
+                     [&] {
+                       return source.transport->Translate(
+                           full, trace, parent_span, /*unused=*/nullptr,
+                           cancel);
+                     },
+                     report, trace, parent_span);
     runtime.in_flight.fetch_sub(1, std::memory_order_relaxed);
     if (!result.ok()) {
       runtime.failures.fetch_add(1, std::memory_order_relaxed);
@@ -346,59 +312,7 @@ Result<Translation> TranslationService::TranslateOne(
       runtime.retries.fetch_add(report->retries, std::memory_order_relaxed);
     }
     return result;
-  };
-  if (!options_.enable_cache) return guarded();
-  const TranslationCacheKey key{source.cache_key_prefix, source.rule_set_fp,
-                                full.fingerprint()};
-  {
-    // A hit never reaches the source, so the resilience guards — and any
-    // injected faults — do not apply: the cache is itself a degradation
-    // buffer (a source can be down and its cached translations still serve).
-    Span lookup(trace, "cache.lookup", parent_span);
-    if (std::optional<Translation> hit = cache_.Get(key)) {
-      if (lookup.enabled()) lookup.AddAttr("hit", "true");
-      // Stats describe the work done *for this call*: a hit does no rule
-      // matching, so the computation counters reset and only the hit shows.
-      hit->stats = TranslationStats{};
-      hit->stats.cache_hits = 1;
-      return *std::move(hit);
-    }
-    if (lookup.enabled()) lookup.AddAttr("hit", "false");
-  }
-  if (store_ != nullptr) {
-    // RAM miss: fall through to the persistent tier. A disk hit is promoted
-    // into the RAM cache so the next lookup stops there.
-    Span lookup(trace, "store.lookup", parent_span);
-    if (std::optional<Result<Translation>> stored = store_->Get(key)) {
-      if (lookup.enabled()) lookup.AddAttr("hit", "true");
-      if (!stored->ok()) return stored->status();  // stored negative result
-      Translation hit = *std::move(*stored);
-      hit.stats = TranslationStats{};
-      hit.stats.store_hits = 1;
-      hit.stats.cache_evictions = cache_.Put(key, hit);
-      return hit;
-    }
-    if (lookup.enabled()) lookup.AddAttr("hit", "false");
-  }
-  Result<Translation> translation = guarded();
-  if (!translation.ok()) {
-    if (store_ != nullptr && options_.store.cache_negatives &&
-        IsPermanentFailure(translation.status().code())) {
-      store_->PutNegative(key, translation.status()).ok();
-    }
-    return translation;
-  }
-  if (!report->degraded) {
-    // Degraded (widened) translations are never cached or persisted: a
-    // later healthy call must get the exact mapping back, not a poisoned
-    // wide one — and a store record outlives the process, so persisting a
-    // widened mapping would poison every future boot (docs/ROBUSTNESS.md).
-    Span insert(trace, "cache.insert", parent_span);
-    translation->stats.cache_evictions += cache_.Put(key, *translation);
-    if (store_ != nullptr) store_->Put(key, *translation).ok();
-  }
-  translation->stats.cache_misses = 1;
-  return translation;
+  });
 }
 
 // The registered sources as the fan-out core sees them: each call goes
@@ -447,109 +361,13 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
   return out;
 }
 
-Result<MediatorTranslation> TranslationService::TranslateObserved(
-    const Query& full, Trace* trace, const CancelToken* cancel) const {
-  const SlowQueryLogOptions& slow = options_.obs.slow_query;
-  // Head-sampling decision up front: the sampler counts every query it sees
-  // (sampled or not), and a sampled query gets a trace even when the slow
-  // log and metrics are off — the ring is its own consumer.
-  const bool sampled = trace_ring_ != nullptr && trace_ring_->ShouldSample();
-  const bool want_obs = slow.enabled || latency_hist_ != nullptr || sampled;
-  if (!want_obs) return TranslateFull(full, trace, cancel);
-
-  // The slow-query log wants a trace of every query so the slow ones come
-  // with their per-source spans attached, the per-phase qmap_span_*
-  // histograms are fed from trace spans, and the retention ring stores
-  // completed traces; record a trace internally when the caller did not
-  // supply one and any of those consumers is active.
-  std::unique_ptr<Trace> local_trace;
-  if (trace == nullptr &&
-      (slow.enabled || sampled || options_.obs.metrics != nullptr)) {
-    local_trace = std::make_unique<Trace>("service", /*capture_detail=*/false);
-    trace = local_trace.get();
-  }
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  Result<MediatorTranslation> out = TranslateFull(full, trace, cancel);
-  const uint64_t total_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count());
-
-  // Slow-query classification (ok results only — failures have no
-  // per-source stats to inspect).
-  uint64_t max_disjuncts = 0;
-  bool is_partial = false;
-  bool is_slow = false;
-  if (out.ok() && slow.enabled) {
-    for (const auto& [name, translation] : out->per_source) {
-      max_disjuncts = std::max(max_disjuncts, translation.stats.dnf_disjuncts);
-    }
-    is_partial = !out->partial.complete();
-    is_slow = total_us >= slow.latency_threshold_us ||
-              (slow.disjunct_threshold > 0 &&
-               max_disjuncts >= slow.disjunct_threshold) ||
-              (slow.capture_partial && is_partial);
-  }
-
-  // Trace retention: head-sampled traces always (even for failed
-  // translations — those are the interesting ones); slow outliers go to the
-  // guaranteed ring. Retention happens before the latency record below so
-  // an exemplar written into a histogram bucket always resolves via
-  // /tracez — the ring holds the trace by the time the bucket names it.
-  bool retained = false;
-  if (trace_ring_ != nullptr && trace != nullptr && (sampled || is_slow)) {
-    trace_ring_->Insert(trace->ToParsed(), /*outlier=*/is_slow);
-    retained = true;
-  }
-
-  if (latency_hist_ != nullptr) {
-    if (retained) {
-      latency_hist_->RecordWithExemplar(total_us, trace->serial());
-    } else {
-      latency_hist_->Record(total_us);
-    }
-  }
-  if (trace != nullptr && options_.obs.metrics != nullptr) {
-    RecordTraceMetrics(*trace, options_.obs.metrics);
-  }
-  if (!out.ok() || !is_slow) return out;
-
-  slow_queries_.fetch_add(1, std::memory_order_relaxed);
-  if (slow_counter_ != nullptr) slow_counter_->Inc();
-  SlowQueryRecord record;
-  // The only rendering on the slow path — and only for captured queries.
-  record.query_text = ToParseableText(full);
-  record.total_us = total_us;
-  record.max_disjuncts = max_disjuncts;
-  record.stats = out->stats.ToString();
-  if (is_partial) record.partial_summary = out->partial.ToString();
-  if (trace != nullptr) record.trace_json = trace->ToJson();
-  {
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    slow_log_.push_back(std::move(record));
-    while (slow_log_.size() > std::max<size_t>(1, slow.capacity)) {
-      slow_log_.pop_front();
-    }
-  }
-  return out;
-}
-
 void TranslationService::WarmUpFromStoreOnce() const {
-  if (store_ == nullptr || !options_.store.replay_on_boot) return;
-  std::call_once(warmup_once_, [this] {
-    // Only entries belonging to a registered source under its *current*
-    // rule-set fingerprint are replayed; everything else on disk is either
-    // another service's data or a stale version, and stays dead.
+  tier_.WarmUpOnce([this] {
     std::unordered_map<uint64_t, uint64_t> live;
     for (const SourceEntry& source : sources_) {
       live.emplace(source.cache_key_prefix, source.rule_set_fp);
     }
-    store_->ReplayInto(cache_, [&live](const TranslationCacheKey& key) {
-      auto it = live.find(key.source);
-      return it != live.end() && it->second == key.rule_set;
-    });
-    warmed_up_.store(true, std::memory_order_release);
+    return live;
   });
 }
 
@@ -560,8 +378,10 @@ Result<MediatorTranslation> TranslationService::Translate(const Query& query,
   WarmUpFromStoreOnce();
   Query full = query & view_constraints_;
   CancelToken token;
-  return TranslateObserved(full, trace,
-                           FanOut(resilience_.get()).RequestToken(&token));
+  const CancelToken* cancel = FanOut(resilience_.get()).RequestToken(&token);
+  return observer_.Observe(full, trace, [&](Trace* observed) {
+    return TranslateFull(full, observed, cancel);
+  });
 }
 
 Result<Translation> TranslationService::TranslateSource(
@@ -640,7 +460,9 @@ Result<std::vector<MediatorTranslation>> TranslationService::TranslateBatch(
           std::to_string(unique_full.size()) + " unique queries");
     }
     Result<MediatorTranslation> translation =
-        TranslateObserved(unique_full[u], nullptr, cancel);
+        observer_.Observe(unique_full[u], nullptr, [&](Trace* observed) {
+          return TranslateFull(unique_full[u], observed, cancel);
+        });
     if (!translation.ok()) return translation.status();
     unique_results.push_back(*std::move(translation));
   }
@@ -655,21 +477,16 @@ Result<std::vector<MediatorTranslation>> TranslationService::TranslateBatch(
 
 ServiceStats TranslationService::stats() const {
   ServiceStats out;
-  out.cache = cache_.stats();
-  if (store_ != nullptr) out.store = store_->stats();
+  out.cache = tier_.cache_stats();
+  out.store = tier_.store_stats();
   out.translate_calls = translate_calls_.load(std::memory_order_relaxed);
   out.batch_calls = batch_calls_.load(std::memory_order_relaxed);
   out.batch_queries = batch_queries_.load(std::memory_order_relaxed);
   out.batch_duplicates = batch_duplicates_.load(std::memory_order_relaxed);
   out.parallel_tasks = parallel_tasks_.load(std::memory_order_relaxed);
   out.inline_tasks = inline_tasks_.load(std::memory_order_relaxed);
-  out.slow_queries = slow_queries_.load(std::memory_order_relaxed);
+  out.slow_queries = observer_.slow_query_count();
   return out;
-}
-
-std::vector<SlowQueryRecord> TranslationService::slow_queries() const {
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  return std::vector<SlowQueryRecord>(slow_log_.begin(), slow_log_.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -812,17 +629,14 @@ std::string HitRate(uint64_t hits, uint64_t misses) {
 
 ServiceStatus TranslationService::StatusSnapshot() const {
   ServiceStatus out;
-  out.store_configured = options_.enable_cache && !options_.store.path.empty();
-  out.store_ok = !out.store_configured || store_open_status_.ok();
-  out.warmed_up = warmed_up_.load(std::memory_order_acquire);
+  out.store_configured = tier_.store_configured();
+  out.store_ok = tier_.store_open_status().ok();
+  out.warmed_up = tier_.warmed_up();
   out.draining = draining();
-  out.ready = !out.draining &&
-              out.store_ok &&
-              (store_ == nullptr || !options_.store.replay_on_boot ||
-               out.warmed_up);
+  out.ready = !out.draining && tier_.ready();
   out.match_engine = MatchEngineName(CurrentMatchEngine());
   out.stats = stats();
-  out.cache_entries = options_.enable_cache ? cache_.size() : 0;
+  out.cache_entries = tier_.cache_entries();
   out.pool_threads = pool_ != nullptr ? static_cast<size_t>(pool_->size()) : 0;
   out.pool_queue_depth = pool_ != nullptr ? pool_->queue_depth() : 0;
   out.sources.reserve(sources_.size());
@@ -842,8 +656,10 @@ ServiceStatus TranslationService::StatusSnapshot() const {
   }
   out.resilience_enabled = resilience_ != nullptr;
   if (resilience_ != nullptr) out.resilience = resilience_->counters();
-  out.trace_ring_enabled = trace_ring_ != nullptr;
-  if (trace_ring_ != nullptr) out.trace_ring = trace_ring_->stats();
+  if (const TraceRing* ring = observer_.trace_ring()) {
+    out.trace_ring_enabled = true;
+    out.trace_ring = ring->stats();
+  }
   out.chains = chains_;
   out.pruned_sources = pruned_;
   return out;
@@ -875,11 +691,11 @@ void TranslationService::UpdateGauges() const {
   metrics
       ->gauge("qmap_cache_entries",
               "Entries resident in the RAM translation cache.")
-      .Set(options_.enable_cache ? static_cast<int64_t>(cache_.size()) : 0);
+      .Set(static_cast<int64_t>(tier_.cache_entries()));
   metrics
       ->gauge("qmap_store_live_records",
               "Live records indexed by the persistent translation store.")
-      .Set(store_ != nullptr ? static_cast<int64_t>(store_->num_entries()) : 0);
+      .Set(static_cast<int64_t>(tier_.store_entries()));
   const InternStats intern = QueryInternStats();
   metrics
       ->gauge("qmap_intern_query_live_nodes",
@@ -948,7 +764,7 @@ void TranslationService::RegisterAdminHandlers(AdminHttpServer* server,
         response.body += "draining";
       } else if (!status.store_ok) {
         response.body +=
-            "store failed to open (" + store_open_status_.ToString() + ")";
+            "store failed to open (" + store_open_status().ToString() + ")";
       } else {
         response.body += "store warm-up has not run";
       }
@@ -1077,7 +893,8 @@ void TranslationService::RegisterAdminHandlers(AdminHttpServer* server,
   server->Handle("/tracez", [this](std::string_view query) {
     AdminResponse response;
     response.content_type = "application/json; charset=utf-8";
-    if (trace_ring_ == nullptr) {
+    TraceRing* ring = observer_.trace_ring();
+    if (ring == nullptr) {
       response.status = 404;
       response.body =
           "{\"error\":\"trace ring not enabled "
@@ -1094,8 +911,7 @@ void TranslationService::RegisterAdminHandlers(AdminHttpServer* server,
         response.body = "{\"error\":\"bad bucket index\"}";
         return response;
       }
-      uint64_t serial =
-          latency_hist_ != nullptr ? latency_hist_->exemplar(b) : 0;
+      uint64_t serial = observer_.LatencyExemplar(b);
       if (serial == 0) {
         response.status = 404;
         response.body =
@@ -1106,7 +922,7 @@ void TranslationService::RegisterAdminHandlers(AdminHttpServer* server,
       target = "qt" + std::to_string(serial);
     }
     if (!target.empty()) {
-      std::optional<ParsedTrace> trace = trace_ring_->Find(target);
+      std::optional<ParsedTrace> trace = ring->Find(target);
       if (!trace.has_value()) {
         response.status = 404;
         response.body =
@@ -1116,15 +932,15 @@ void TranslationService::RegisterAdminHandlers(AdminHttpServer* server,
       response.body = trace->ToJson();
       return response;
     }
-    TraceRingStats stats = trace_ring_->stats();
+    TraceRingStats stats = ring->stats();
     response.body = "{\"stats\":{\"seen\":" + std::to_string(stats.seen);
     response.body += ",\"sampled\":" + std::to_string(stats.sampled);
     response.body += ",\"outliers\":" + std::to_string(stats.outliers);
     response.body += ",\"evicted\":" + std::to_string(stats.evicted) + "}";
     response.body +=
-        ",\"outliers\":" + TracesJsonArray(trace_ring_->OutlierSnapshot());
+        ",\"outliers\":" + TracesJsonArray(ring->OutlierSnapshot());
     response.body +=
-        ",\"sampled\":" + TracesJsonArray(trace_ring_->SampledSnapshot());
+        ",\"sampled\":" + TracesJsonArray(ring->SampledSnapshot());
     response.body += "}";
     return response;
   });

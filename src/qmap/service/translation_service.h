@@ -3,10 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -16,82 +14,18 @@
 #include "qmap/obs/admin_http.h"
 #include "qmap/rules/compose.h"
 #include "qmap/rules/containment.h"
-#include "qmap/obs/trace_ring.h"
 #include "qmap/service/fanout.h"
+#include "qmap/service/request_observer.h"
 #include "qmap/service/resilience.h"
 #include "qmap/service/source_transport.h"
 #include "qmap/service/thread_pool.h"
-#include "qmap/service/translation_cache.h"
-#include "qmap/store/translation_store.h"
+#include "qmap/service/tiered_cache.h"
 
 namespace qmap {
 
 class Counter;
-class Histogram;
 class MetricsRegistry;
 class Trace;
-
-/// When to capture a query into the service's slow-query log (see
-/// docs/OBSERVABILITY.md). A query is "slow" when its wall time reaches
-/// `latency_threshold_us`, or when any source's translation produced at
-/// least `disjunct_threshold` DNF disjuncts — the paper's 2^n blowup
-/// (Section 8) shows up as disjunct count before it shows up as latency
-/// on small inputs, so both axes are worth watching.
-struct SlowQueryLogOptions {
-  bool enabled = false;
-  /// Wall-time threshold in microseconds; 0 logs every query.
-  uint64_t latency_threshold_us = 1000;
-  /// Per-source DNF disjunct threshold; 0 ignores disjunct counts.
-  uint64_t disjunct_threshold = 0;
-  /// Ring-buffer size: only the most recent `capacity` slow queries are
-  /// kept (the qmap_slow_queries_total counter keeps the lifetime count).
-  size_t capacity = 32;
-  /// Also capture every query that came back partial or degraded (see
-  /// MediatorTranslation::partial), regardless of latency — a dropped
-  /// source is worth a log entry even when the survivors answered fast.
-  bool capture_partial = true;
-};
-
-/// Observability wiring for the service. All of it defaults to off, in
-/// which case the service adds no clock reads or locking to the
-/// translation path.
-struct ObsOptions {
-  /// When set, the service registers and updates counters/histograms here
-  /// (qmap_translate_total, qmap_translate_latency_us, qmap_cache_*_total,
-  /// qmap_pool_*_us, qmap_slow_queries_total, the rule-matching counters
-  /// qmap_match_pattern_attempts_total / qmap_match_index_hits_total /
-  /// qmap_match_attempts_saved_total, and
-  /// per-phase qmap_span_*_us from traced runs). Must outlive the service.
-  MetricsRegistry* metrics = nullptr;
-  SlowQueryLogOptions slow_query;
-  /// Sampled trace retention (see qmap/obs/trace_ring.h): every Nth query
-  /// is traced and kept in a bounded ring, latency outliers (the slow-query
-  /// criteria) are always kept, and the latency histogram's buckets remember
-  /// the retained traces as exemplars. Off by default; when enabled the
-  /// admin server's /tracez serves the ring.
-  TraceRingOptions trace_ring;
-};
-
-/// One captured slow query (see SlowQueryLogOptions).
-struct SlowQueryRecord {
-  /// The normalized printed form of the full query (view constraints
-  /// conjoined), rendered lazily for the log — the translation path itself
-  /// keys caches by Query::fingerprint() and never prints.
-  std::string query_text;
-  uint64_t total_us = 0;
-  /// Max dnf_disjuncts over the per-source translations.
-  uint64_t max_disjuncts = 0;
-  /// TranslationStats::ToString() of the aggregated stats.
-  std::string stats;
-  /// PartialResult::ToString() when the query came back partial or
-  /// degraded; empty for complete answers.
-  std::string partial_summary;
-  /// Trace::ToJson() of the per-query trace (per-source spans, pool waits,
-  /// cache lookups). Present even when the caller did not pass a Trace:
-  /// the service records an internal trace whenever the slow-query log is
-  /// enabled.
-  std::string trace_json;
-};
 
 struct ServiceOptions {
   /// Options forwarded to every per-source Translator.
@@ -366,7 +300,9 @@ class TranslationService {
 
   /// Snapshot of the slow-query ring buffer, oldest first. Empty unless
   /// options.obs.slow_query.enabled.
-  std::vector<SlowQueryRecord> slow_queries() const;
+  std::vector<SlowQueryRecord> slow_queries() const {
+    return observer_.slow_queries();
+  }
 
   /// The resilience layer, or null when neither options.resilience.enabled
   /// nor options.fault_injector was set. Exposes counters, breaker state
@@ -375,15 +311,15 @@ class TranslationService {
 
   /// The persistent tier, or null when options.store.path was empty /
   /// enable_cache was off / the store failed to open.
-  TranslationStore* store() const { return store_.get(); }
+  TranslationStore* store() const { return tier_.store(); }
 
   /// Ok unless a configured store failed to open (the service then runs
   /// cache-only; the error is kept here for operators).
-  const Status& store_open_status() const { return store_open_status_; }
+  const Status& store_open_status() const { return tier_.store_open_status(); }
 
   /// The trace-retention ring, or null when options.obs.trace_ring.enabled
   /// was off. See /tracez and docs/OBSERVABILITY.md.
-  TraceRing* trace_ring() const { return trace_ring_.get(); }
+  TraceRing* trace_ring() const { return observer_.trace_ring(); }
 
   /// One coherent snapshot of the service's operational state (readiness,
   /// per-source scoreboard, cache/store/pool/resilience/trace-ring
@@ -445,11 +381,11 @@ class TranslationService {
     uint64_t rule_set_fp = 0;
   };
 
-  /// One per-source unit of work: cache lookup (typed fingerprint key),
-  /// else translate (under the resilience guards when enabled) and fill.
-  /// Degraded translations are never cached — a cached entry must be the
-  /// exact mapping, not a widened one. `cancel` may be null; `report` may
-  /// not. Retries spent land in the source's scoreboard row.
+  /// One per-source unit of work: mints the typed cache key and hands the
+  /// guarded translate (under the resilience guards when enabled) to the
+  /// tier, which answers from RAM or the store or runs it and fills both.
+  /// `cancel` may be null; `report` may not. Retries spent land in the
+  /// source's scoreboard row.
   Result<Translation> TranslateOne(const SourceEntry& source, const Query& full,
                                    Trace* trace, uint64_t parent_span,
                                    const CancelToken* cancel,
@@ -460,15 +396,6 @@ class TranslationService {
   /// TranslateOne, plus the pool and match counters.
   Result<MediatorTranslation> TranslateFull(const Query& full, Trace* trace,
                                             const CancelToken* cancel) const;
-
-  /// TranslateFull plus the observability envelope: wall-clock timing, the
-  /// latency histogram, folding trace spans into per-phase metrics, and
-  /// slow-query capture (which renders the query text lazily). Creates an
-  /// internal Trace when the caller passed none but metrics or the
-  /// slow-query log need one.
-  Result<MediatorTranslation> TranslateObserved(const Query& full,
-                                                Trace* trace,
-                                                const CancelToken* cancel) const;
 
   /// Refreshes the point-in-time gauges (pool queue depth, cache entries,
   /// store live records, per-source breaker state) in the attached registry.
@@ -487,11 +414,10 @@ class TranslationService {
   void RegisterAdminHandlers(AdminHttpServer* server,
                              const AdminOptions& options);
 
-  /// One-time warm-up replay (options_.store.replay_on_boot): runs on the
-  /// first Translate, after setup, so every registered source's
-  /// (context, rule-set) pair is known. Only entries matching a currently
-  /// registered pair are replayed — entries from removed sources or old
-  /// rule-set versions stay on disk for compaction to reclaim.
+  /// The tier's one-time boot replay, over the registered sources'
+  /// (context, rule-set) pairs. Runs on the first request, after setup, so
+  /// every pair is known; entries from removed sources or old rule-set
+  /// versions stay on disk for compaction to reclaim.
   void WarmUpFromStoreOnce() const;
 
   ServiceOptions options_;
@@ -504,17 +430,13 @@ class TranslationService {
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads <= 1
   // Non-null when options_.resilience.enabled or a fault injector is set.
   std::unique_ptr<ResilienceManager> resilience_;
-  mutable TranslationCache cache_;
-  // Non-null when options_.store.path is set, the cache is enabled, and the
-  // store opened cleanly.
-  std::unique_ptr<TranslationStore> store_;
-  Status store_open_status_;
-  // Non-null when options_.obs.trace_ring.enabled.
-  std::unique_ptr<TraceRing> trace_ring_;
+  // RAM cache → store (qmap/service/tiered_cache.h).
+  mutable TieredCache tier_;
+  // Slow log, trace ring, latency histogram
+  // (qmap/service/request_observer.h).
+  mutable RequestObserver observer_;
   // Non-null between StartAdmin() and StopAdmin()/destruction.
   std::unique_ptr<AdminHttpServer> admin_;
-  mutable std::once_flag warmup_once_;
-  mutable std::atomic<bool> warmed_up_{false};
   std::atomic<bool> draining_{false};
   mutable std::atomic<uint64_t> translate_calls_{0};
   mutable std::atomic<uint64_t> batch_calls_{0};
@@ -522,16 +444,9 @@ class TranslationService {
   mutable std::atomic<uint64_t> batch_duplicates_{0};
   mutable std::atomic<uint64_t> parallel_tasks_{0};
   mutable std::atomic<uint64_t> inline_tasks_{0};
-  mutable std::atomic<uint64_t> slow_queries_{0};
-
-  // Slow-query ring buffer (guarded by slow_mu_), newest at the back.
-  mutable std::mutex slow_mu_;
-  mutable std::deque<SlowQueryRecord> slow_log_;
 
   // Cached metric handles (see ObsOptions::metrics); null when detached.
   Counter* translate_counter_ = nullptr;
-  Counter* slow_counter_ = nullptr;
-  Histogram* latency_hist_ = nullptr;
   Counter* match_attempts_counter_ = nullptr;
   Counter* match_index_hits_counter_ = nullptr;
   Counter* match_saved_counter_ = nullptr;

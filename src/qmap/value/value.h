@@ -55,7 +55,6 @@ class Value {
   static Value OfPoint(Point p) { return Value(Rep(p)); }
 
   ValueKind kind() const;
-  bool is_null() const { return kind() == ValueKind::kNull; }
   bool is_numeric() const {
     return kind() == ValueKind::kInt || kind() == ValueKind::kDouble;
   }
