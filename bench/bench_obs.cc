@@ -3,6 +3,12 @@
 // question each benchmark answers:
 //
 //   TranslateObsOff        — the floor: no registry, no slow log, no ring.
+//   TranslateMetricsOnly   — a registry alone (no ring, no slow log): the
+//                            configuration of e2ebench and the examples.
+//                            The phase timers feed the qmap_span_*
+//                            histograms without building a trace, so CI
+//                            gates its real_time as a ratio of
+//                            TranslateObsOff's.
 //   TranslateTraceRing/N   — trace ring enabled with head sampling every
 //                            N-th query (N=16 is the default cadence; N=1 is
 //                            the worst case: every query builds and retains a
@@ -14,6 +20,11 @@
 // The committed baseline pins TranslateTraceRing/16 within a few percent of
 // TranslateObsOff: head sampling must keep the common case at one relaxed
 // fetch_add over the floor, so turning retention on is not a perf decision.
+// Every series reports allocs_per_iter over a warm cache (all allocation
+// counts include the pool workers'), which the regression checker pins.
+
+#define QMAP_BENCH_COUNT_ALLOCS
+#include "bench_util.h"
 
 #include <benchmark/benchmark.h>
 
@@ -76,7 +87,14 @@ std::unique_ptr<qmap::TranslationService> MakeService(
 
 void RunWorkload(benchmark::State& state, qmap::TranslationService& service) {
   std::vector<qmap::Query> workload = Workload();
+  for (const qmap::Query& query : workload) {
+    if (!service.Translate(query).ok()) {  // warm the cache
+      state.SkipWithError("translate failed");
+      return;
+    }
+  }
   size_t next = 0;
+  const uint64_t allocs_before = qmap_bench::AllocCount();
   for (auto _ : state) {
     qmap::Result<qmap::MediatorTranslation> t =
         service.Translate(workload[next++ % workload.size()]);
@@ -84,6 +102,9 @@ void RunWorkload(benchmark::State& state, qmap::TranslationService& service) {
     if (!t.ok()) state.SkipWithError("translate failed");
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(qmap_bench::AllocCount() - allocs_before),
+      benchmark::Counter::kAvgIterations);
 }
 
 void TranslateObsOff(benchmark::State& state) {
@@ -91,6 +112,15 @@ void TranslateObsOff(benchmark::State& state) {
   RunWorkload(state, *service);
 }
 BENCHMARK(TranslateObsOff);
+
+void TranslateMetricsOnly(benchmark::State& state) {
+  static qmap::MetricsRegistry registry;  // shared; benchmark reruns add to it
+  qmap::ObsOptions obs;
+  obs.metrics = &registry;
+  auto service = MakeService(obs);
+  RunWorkload(state, *service);
+}
+BENCHMARK(TranslateMetricsOnly);
 
 void TranslateTraceRing(benchmark::State& state) {
   qmap::ObsOptions obs;
@@ -117,7 +147,5 @@ void TranslateFullPlane(benchmark::State& state) {
 BENCHMARK(TranslateFullPlane);
 
 }  // namespace
-
-#include "bench_util.h"
 
 QMAP_BENCH_MAIN(bench_obs)

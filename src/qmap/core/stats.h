@@ -44,6 +44,7 @@ namespace qmap {
   X(degraded_sources, degraded_sources)             \
   X(failed_sources, failed_sources)                 \
   X(translate_ns, translate_ns)                     \
+  X(tdqm_ns, tdqm_ns)                               \
   X(queue_wait_ns, queue_wait_ns)
 
 /// Counters accumulated during one translation. These expose the cost terms
@@ -90,12 +91,15 @@ struct TranslationStats {
   uint64_t degraded_sources = 0;
   uint64_t failed_sources = 0;
 
-  // Timing (observability): wall time spent inside Translator::Translate,
-  // and — when a TranslationService runs the per-source work on its pool
-  // with tracing active — time the task waited in the pool queue. Merged by
-  // summation, so a MediatorTranslation's stats carry the *total* per-source
-  // translation time, which can exceed wall time under parallelism.
+  // Timing (observability): wall time spent inside Translator::Translate
+  // and, of that, inside its TDQM call (0 for the DNF and naive
+  // algorithms); and — when a TranslationService runs the per-source work on
+  // its pool with tracing or a metrics registry active — time the task
+  // waited in the pool queue. Merged by summation, so a
+  // MediatorTranslation's stats carry the *total* per-source translation
+  // time, which can exceed wall time under parallelism.
   uint64_t translate_ns = 0;
+  uint64_t tdqm_ns = 0;
   uint64_t queue_wait_ns = 0;
 
   void MergeFrom(const TranslationStats& other);

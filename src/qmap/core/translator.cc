@@ -7,6 +7,16 @@
 #include "qmap/obs/trace.h"
 
 namespace qmap {
+namespace {
+
+uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - since)
+          .count());
+}
+
+}  // namespace
 
 Result<Translation> Translator::Translate(const Query& query, Trace* trace,
                                           uint64_t parent_span) const {
@@ -20,7 +30,9 @@ Result<Translation> Translator::Translate(const Query& query, Trace* trace,
       tdqm_options.reuse_potential_matchings = options_.reuse_potential_matchings;
       tdqm_options.trace = trace;
       tdqm_options.parent_span = span.id();
+      const auto tdqm_start = std::chrono::steady_clock::now();
       mapped = Tdqm(query, spec_, &out.stats, &out.coverage, tdqm_options);
+      out.stats.tdqm_ns += ElapsedNs(tdqm_start);
       break;
     }
     case MappingAlgorithm::kDnf: {
@@ -45,10 +57,7 @@ Result<Translation> Translator::Translate(const Query& query, Trace* trace,
     out.mapped = SimplifyQuery(out.mapped);
     out.filter = SimplifyQuery(out.filter);
   }
-  out.stats.translate_ns += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
+  out.stats.translate_ns += ElapsedNs(start);
   span.SetStats(out.stats);
   return out;
 }

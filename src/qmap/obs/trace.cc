@@ -111,9 +111,8 @@ Trace::Trace(std::string label, bool capture_detail)
 
 std::string Trace::trace_id() const { return "qt" + std::to_string(serial_); }
 
-int64_t Trace::NowNs() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                              epoch_)
+int64_t Trace::OffsetNs(Clock::time_point t) const {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
       .count();
 }
 
@@ -171,9 +170,24 @@ uint64_t Trace::AddCompleteSpan(std::string_view name, uint64_t parent,
   return span.id;
 }
 
-std::vector<SpanRecord> Trace::spans() const {
+std::vector<SpanRecord> Trace::spans(size_t first) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
+  if (first >= spans_.size()) return {};
+  return std::vector<SpanRecord>(spans_.begin() + static_cast<ptrdiff_t>(first),
+                                 spans_.end());
+}
+
+size_t Trace::num_spans() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return spans_.size();
+}
+
+void PhaseTimer::RecordSample() {
+  histogram_->Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          Trace::Clock::now() - start_)
+          .count()));
+  histogram_ = nullptr;
 }
 
 std::string Trace::ToJson() const {
@@ -247,19 +261,26 @@ Result<ParsedTrace> ParseTraceJson(const std::string& json) {
   return out;
 }
 
+Histogram& SpanHistogram(MetricsRegistry& registry, std::string_view span_name) {
+  std::string name = "qmap_span_";
+  for (char c : span_name) {
+    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+              (c >= '0' && c <= '9') || c == '_';
+    name += ok ? c : '_';
+  }
+  name += "_us";
+  return registry.histogram(name);
+}
+
+void RecordSpanMetric(const SpanRecord& span, MetricsRegistry& registry) {
+  if (span.dur_ns < 0) return;
+  SpanHistogram(registry, span.name)
+      .Record(static_cast<uint64_t>(span.dur_ns) / 1000);
+}
+
 void RecordTraceMetrics(const Trace& trace, MetricsRegistry* registry) {
   if (registry == nullptr) return;
-  for (const SpanRecord& span : trace.spans()) {
-    if (span.dur_ns < 0) continue;
-    std::string name = "qmap_span_";
-    for (char c : span.name) {
-      bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                (c >= '0' && c <= '9') || c == '_';
-      name += ok ? c : '_';
-    }
-    name += "_us";
-    registry->histogram(name).Record(static_cast<uint64_t>(span.dur_ns) / 1000);
-  }
+  for (const SpanRecord& span : trace.spans()) RecordSpanMetric(span, *registry);
 }
 
 }  // namespace qmap

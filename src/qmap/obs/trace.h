@@ -16,6 +16,7 @@
 
 namespace qmap {
 
+class Histogram;
 class MetricsRegistry;
 
 /// One completed (or still-open) span of a per-query trace.
@@ -79,7 +80,9 @@ class Trace {
   bool capture_detail() const { return capture_detail_; }
 
   /// Nanoseconds elapsed since the trace was created.
-  int64_t NowNs() const;
+  int64_t NowNs() const { return OffsetNs(Clock::now()); }
+  /// Nanoseconds from the trace's creation to `t`.
+  int64_t OffsetNs(Clock::time_point t) const;
 
   /// Records a span measured by the caller (e.g. pool queue-wait time whose
   /// start predates the worker picking the task up). `start_ns` / `end_ns`
@@ -87,8 +90,11 @@ class Trace {
   uint64_t AddCompleteSpan(std::string_view name, uint64_t parent,
                            int64_t start_ns, int64_t end_ns);
 
-  /// Snapshot of all spans recorded so far.
-  std::vector<SpanRecord> spans() const;
+  /// Snapshot of the spans recorded so far, from the `first`-th on (0-based;
+  /// open spans included).
+  std::vector<SpanRecord> spans(size_t first = 0) const;
+  /// How many spans have been recorded so far.
+  size_t num_spans() const;
 
   /// Snapshot of the whole trace as plain data — identical to parsing
   /// ToJson() back, without the serialization round trip. This is what the
@@ -168,14 +174,53 @@ class Span {
   uint64_t id_ = 0;
 };
 
+/// A phase timed for two readers at once by one RAII object: a span in
+/// `trace` when it is non-null, and one microsecond sample in `histogram`
+/// at End() when that is non-null. The histogram side reads the clock twice
+/// and records with relaxed atomics: no string, no lock, no allocation.
+/// With both null it reads no clock at all.
+class PhaseTimer {
+ public:
+  PhaseTimer(Trace* trace, std::string_view name, uint64_t parent,
+             Histogram* histogram)
+      : span_(trace, name, parent), histogram_(histogram) {
+    if (histogram_ != nullptr) start_ = Trace::Clock::now();
+  }
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+  ~PhaseTimer() { End(); }
+
+  /// Ends the span and records the sample (idempotent).
+  void End() {
+    span_.End();
+    if (histogram_ != nullptr) RecordSample();
+  }
+
+  Span& span() { return span_; }
+
+ private:
+  void RecordSample();
+
+  Span span_;
+  Histogram* histogram_;
+  Trace::Clock::time_point start_;
+};
+
 /// Parses a Trace::ToJson() document back into a ParsedTrace.
 Result<ParsedTrace> ParseTraceJson(const std::string& json);
 
-/// Folds every finished span's duration into `registry` as a per-phase
-/// latency histogram named `qmap_span_<name>_us` (span names sanitized to
-/// metric charset, e.g. "cache.lookup" → qmap_span_cache_lookup_us). This is
-/// how the Prometheus export gets per-phase latencies without the core
-/// algorithms ever seeing the registry.
+/// The per-phase latency histogram a span named `span_name` folds into:
+/// `qmap_span_<name>_us`, the name sanitized to the metric charset (e.g.
+/// "cache.lookup" → qmap_span_cache_lookup_us). Takes the registry lock and
+/// builds the name, so a hot path resolves it once and keeps the pointer.
+Histogram& SpanHistogram(MetricsRegistry& registry, std::string_view span_name);
+
+/// Folds `span`'s duration into its SpanHistogram; open spans are skipped.
+void RecordSpanMetric(const SpanRecord& span, MetricsRegistry& registry);
+
+/// Folds every finished span of `trace` into `registry` (RecordSpanMetric).
+/// This is how a standalone trace user gets per-phase latencies without the
+/// core algorithms ever seeing the registry.
 void RecordTraceMetrics(const Trace& trace, MetricsRegistry* registry);
 
 }  // namespace qmap

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "qmap/core/translator.h"
+#include "qmap/service/phases.h"
 #include "qmap/service/resilience.h"
 
 namespace qmap {
@@ -82,9 +83,11 @@ class FanOut {
 
   /// `resilience` null means no guards, no deadline and no partial results:
   /// every failure fails the call. `pool` null runs every call inline.
-  /// Both must outlive the fan-out.
-  explicit FanOut(ResilienceManager* resilience, ThreadPool* pool = nullptr)
-      : resilience_(resilience), pool_(pool) {}
+  /// `phases` (null: untimed) receives the fan-out's phase samples. All
+  /// three must outlive the fan-out.
+  explicit FanOut(ResilienceManager* resilience, ThreadPool* pool = nullptr,
+                  const PhaseHistograms* phases = nullptr)
+      : resilience_(resilience), pool_(pool), phases_(phases) {}
 
   /// The request-level cancel token: `storage` bounded by the configured
   /// request_deadline_us from now, or null when there is none. `storage`
@@ -108,9 +111,10 @@ class FanOut {
   bool Parallel(size_t n) const { return pool_ != nullptr && n > 1; }
 
   /// Calls every source for `full` (view constraints already conjoined) and
-  /// folds the outcomes. Under `root` it records one "source.translate" span
+  /// folds the outcomes. Under `root` it times one "source.translate" phase
   /// per source (plus "pool.wait" and "fanout.wait" on the pool), "join",
-  /// and for a join "filter"; it sets root's stats and its "partial" attr.
+  /// and for a join "filter" — as spans when root has a trace, into
+  /// `phases` when set; it sets root's stats and its "partial" attr.
   ///
   /// Cancellation/lifetime contract: pool tasks write into this call's
   /// frame, so it ALWAYS waits for every task — even when `cancel` has
@@ -123,6 +127,7 @@ class FanOut {
  private:
   ResilienceManager* const resilience_;
   ThreadPool* const pool_;
+  const PhaseHistograms* const phases_;
 };
 
 }  // namespace qmap

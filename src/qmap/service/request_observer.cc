@@ -1,12 +1,26 @@
 #include "qmap/service/request_observer.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "qmap/expr/printer.h"
 #include "qmap/obs/metrics.h"
 
 namespace qmap {
+namespace {
+
+// Spans fed by a phase timer on every request; folding them out of a built
+// trace too would count them twice.
+bool IsTimedPhase(std::string_view span_name) {
+#define QMAP_PHASE_MATCH(member, name) \
+  if (span_name == name) return true;
+  QMAP_SERVICE_PHASES(QMAP_PHASE_MATCH)
+#undef QMAP_PHASE_MATCH
+  return false;
+}
+
+}  // namespace
 
 RequestObserver::RequestObserver(const ObsOptions& options)
     : slow_(options.slow_query), metrics_(options.metrics) {
@@ -20,11 +34,15 @@ RequestObserver::RequestObserver(const ObsOptions& options)
     latency_hist_ = &metrics_->histogram(
         "qmap_translate_latency_us",
         "End-to-end Translate wall time in microseconds.");
+#define QMAP_PHASE_RESOLVE(member, name) \
+  phases_.member = &SpanHistogram(*metrics_, name);
+    QMAP_SERVICE_PHASES(QMAP_PHASE_RESOLVE)
+#undef QMAP_PHASE_RESOLVE
   }
 }
 
-void RequestObserver::Record(const Query& full, const Trace& trace,
-                             bool sampled,
+void RequestObserver::Record(const Query& full, const Trace* trace,
+                             size_t first_span, bool sampled,
                              std::chrono::steady_clock::time_point start,
                              const Result<MediatorTranslation>& out) {
   const uint64_t total_us = static_cast<uint64_t>(
@@ -54,16 +72,23 @@ void RequestObserver::Record(const Query& full, const Trace& trace,
   // an exemplar written into a histogram bucket always resolves via
   // /tracez — the ring holds the trace by the time the bucket names it.
   const bool retained = trace_ring_ != nullptr && (sampled || is_slow);
-  if (retained) trace_ring_->Insert(trace.ToParsed(), /*outlier=*/is_slow);
+  if (retained) trace_ring_->Insert(trace->ToParsed(), /*outlier=*/is_slow);
 
   if (latency_hist_ != nullptr) {
     if (retained) {
-      latency_hist_->RecordWithExemplar(total_us, trace.serial());
+      latency_hist_->RecordWithExemplar(total_us, trace->serial());
     } else {
       latency_hist_->Record(total_us);
     }
   }
-  if (metrics_ != nullptr) RecordTraceMetrics(trace, metrics_);
+  // The core's inner spans (node.*, scm, psafe, ...) reach qmap_span_* only
+  // from a trace that was built anyway; each span of this call is folded
+  // once.
+  if (metrics_ != nullptr && trace != nullptr) {
+    for (const SpanRecord& span : trace->spans(first_span)) {
+      if (!IsTimedPhase(span.name)) RecordSpanMetric(span, *metrics_);
+    }
+  }
   if (!is_slow) return;
 
   slow_queries_.fetch_add(1, std::memory_order_relaxed);
@@ -75,7 +100,7 @@ void RequestObserver::Record(const Query& full, const Trace& trace,
   record.max_disjuncts = max_disjuncts;
   record.stats = out->stats.ToString();
   if (is_partial) record.partial_summary = out->partial.ToString();
-  record.trace_json = trace.ToJson();
+  record.trace_json = trace->ToJson();
   std::lock_guard<std::mutex> lock(slow_mu_);
   slow_log_.push_back(std::move(record));
   while (slow_log_.size() > std::max<size_t>(1, slow_.capacity)) {

@@ -14,6 +14,7 @@
 #include "qmap/obs/trace.h"
 #include "qmap/obs/trace_ring.h"
 #include "qmap/service/fanout.h"
+#include "qmap/service/phases.h"
 
 namespace qmap {
 
@@ -50,8 +51,9 @@ struct ObsOptions {
   /// (qmap_translate_total, qmap_translate_latency_us, qmap_cache_*_total,
   /// qmap_pool_*_us, qmap_slow_queries_total, the rule-matching counters
   /// qmap_match_pattern_attempts_total / qmap_match_index_hits_total /
-  /// qmap_match_attempts_saved_total, and
-  /// per-phase qmap_span_*_us from traced runs). Must outlive the service.
+  /// qmap_match_attempts_saved_total, and per-phase qmap_span_*_us: the
+  /// service phases on every request, the core's inner spans from the
+  /// traces that are built). Must outlive the service.
   MetricsRegistry* metrics = nullptr;
   SlowQueryLogOptions slow_query;
   /// Sampled trace retention (see qmap/obs/trace_ring.h): every Nth query
@@ -84,18 +86,20 @@ struct SlowQueryRecord {
 };
 
 /// The observation envelope around each service request: the latency
-/// histogram and its exemplars, per-phase qmap_span_* metrics, sampled and
-/// outlier trace retention (the trace ring), and the slow-query log.
-/// Thread-safe.
+/// histogram and its exemplars, the per-phase histograms the service's
+/// phase timers record into, sampled and outlier trace retention (the
+/// trace ring), and the slow-query log. Thread-safe.
 class RequestObserver {
  public:
   explicit RequestObserver(const ObsOptions& options);
 
   /// Returns `run(trace)`, observed. With no ring, slow log or registry it
-  /// calls straight through and reads no clock; otherwise a caller without
-  /// a Trace gets an internal one. A sampled trace is retained even when
-  /// the translation fails, and before its latency is recorded, so every
-  /// exemplar names a retained trace.
+  /// calls straight through and reads no clock. A caller without a Trace
+  /// gets an internal one only when something reads it: a sampled request
+  /// (the ring) or the slow log (trace_json); a registry alone is fed by the
+  /// phase timers and gets a null Trace*. A sampled trace is retained even
+  /// when the translation fails, and before its latency is recorded, so
+  /// every exemplar names a retained trace.
   template <typename Run>
   Result<MediatorTranslation> Observe(const Query& full, Trace* trace,
                                       const Run& run) {
@@ -105,12 +109,20 @@ class RequestObserver {
       return run(trace);
     }
     std::optional<Trace> local_trace;
-    if (trace == nullptr) trace = &local_trace.emplace("service");
+    if (trace == nullptr && (sampled || slow_.enabled)) {
+      trace = &local_trace.emplace("service");
+    }
+    // Spans before this mark belong to earlier calls on a reused trace.
+    const size_t first_span = trace != nullptr ? trace->num_spans() : 0;
     const auto start = std::chrono::steady_clock::now();
     Result<MediatorTranslation> out = run(trace);
-    Record(full, *trace, sampled, start, out);
+    Record(full, trace, first_span, sampled, start, out);
     return out;
   }
+
+  /// The phase histograms, resolved from the registry at construction; all
+  /// null without one.
+  const PhaseHistograms& phases() const { return phases_; }
 
   std::vector<SlowQueryRecord> slow_queries() const;  // oldest first
   uint64_t slow_query_count() const {
@@ -121,8 +133,9 @@ class RequestObserver {
   uint64_t LatencyExemplar(int bucket) const;
 
  private:
-  void Record(const Query& full, const Trace& trace, bool sampled,
-              std::chrono::steady_clock::time_point start,
+  // `trace` is null when nothing reads one (see Observe).
+  void Record(const Query& full, const Trace* trace, size_t first_span,
+              bool sampled, std::chrono::steady_clock::time_point start,
               const Result<MediatorTranslation>& out);
 
   const SlowQueryLogOptions slow_;
@@ -131,6 +144,7 @@ class RequestObserver {
   // Null without a registry.
   Counter* slow_counter_ = nullptr;
   Histogram* latency_hist_ = nullptr;
+  PhaseHistograms phases_;
   std::atomic<uint64_t> slow_queries_{0};
   mutable std::mutex slow_mu_;
   std::deque<SlowQueryRecord> slow_log_;  // guarded by slow_mu_, newest last

@@ -39,31 +39,24 @@ void ThreadPool::AttachMetrics(MetricsRegistry* registry) {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  Task entry{std::move(task), {}};
   if (queue_wait_hist_ != nullptr) {
-    auto submitted = std::chrono::steady_clock::now();
-    task = [this, submitted, inner = std::move(task)] {
-      auto started = std::chrono::steady_clock::now();
-      queue_wait_hist_->Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(started -
-                                                                submitted)
-              .count()));
-      inner();
-      run_hist_->Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - started)
-              .count()));
-    };
+    entry.submitted = std::chrono::steady_clock::now();
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
+    queue_.push_back(std::move(entry));
   }
   cv_.notify_one();
 }
 
 void ThreadPool::WorkerLoop() {
+  const auto micros = [](std::chrono::steady_clock::duration d) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+  };
   while (true) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
@@ -71,7 +64,14 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();
+    if (queue_wait_hist_ == nullptr) {
+      task.run();
+      continue;
+    }
+    const auto started = std::chrono::steady_clock::now();
+    queue_wait_hist_->Record(micros(started - task.submitted));
+    task.run();
+    run_hist_->Record(micros(std::chrono::steady_clock::now() - started));
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef QMAP_SERVICE_THREAD_POOL_H_
 #define QMAP_SERVICE_THREAD_POOL_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -45,9 +46,10 @@ class ThreadPool {
 
   /// Records every task's queue-wait time (Submit → a worker picking it up)
   /// and run time into `registry` as the qmap_pool_queue_wait_us and
-  /// qmap_pool_run_us histograms. Setup-phase only: call before the first
-  /// Submit; the registry must outlive the pool. Null detaches — the
-  /// default, in which case Submit does no clock reads at all.
+  /// qmap_pool_run_us histograms. The submit time waits in the queue beside
+  /// the task, so timing adds no allocation per task. Setup-phase only: call
+  /// before the first Submit; the registry must outlive the pool. Null
+  /// detaches — the default, in which case the pool does no clock reads.
   void AttachMetrics(MetricsRegistry* registry);
 
   /// Enqueues `task` for execution on some worker. Safe to call from any
@@ -55,11 +57,17 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
  private:
+  struct Task {
+    std::function<void()> run;
+    // Set only while metrics are attached.
+    std::chrono::steady_clock::time_point submitted;
+  };
+
   void WorkerLoop();
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;  // guarded by mu_
+  std::deque<Task> queue_;  // guarded by mu_
   bool stopping_ = false;                    // guarded by mu_
   std::vector<std::thread> workers_;
 

@@ -20,10 +20,12 @@ bool IsPermanentFailure(StatusCode code) {
 }  // namespace
 
 TieredCache::TieredCache(bool enabled, TranslationCacheOptions cache,
-                         StoreOptions store, MetricsRegistry* metrics)
+                         StoreOptions store, MetricsRegistry* metrics,
+                         const PhaseHistograms& phases)
     : enabled_(enabled),
       store_configured_(enabled && !store.path.empty()),
       metrics_(metrics),
+      phases_(phases),
       cache_(cache) {
   if (store_configured_) {
     auto opened = TranslationStore::Open(std::move(store));
@@ -48,17 +50,19 @@ std::optional<Translation> TieredCache::Lookup(const TranslationCacheKey& key,
                                                Trace* trace,
                                                uint64_t parent_span,
                                                Status* negative) {
-  Span ram(trace, "cache.lookup", parent_span);
+  PhaseTimer ram(trace, "cache.lookup", parent_span, phases_.cache_lookup);
   std::optional<Translation> hit = cache_.Get(key);
-  if (ram.enabled()) ram.AddAttr("hit", hit ? "true" : "false");
+  if (ram.span().enabled()) ram.span().AddAttr("hit", hit ? "true" : "false");
   ram.End();
   // Covers the promotion below too.
-  Span disk;
+  std::optional<PhaseTimer> disk;
   bool from_store = false;
   if (!hit && store_ != nullptr) {
-    disk = Span(trace, "store.lookup", parent_span);
+    disk.emplace(trace, "store.lookup", parent_span, phases_.store_lookup);
     std::optional<Result<Translation>> stored = store_->Get(key);
-    if (disk.enabled()) disk.AddAttr("hit", stored ? "true" : "false");
+    if (disk->span().enabled()) {
+      disk->span().AddAttr("hit", stored ? "true" : "false");
+    }
     if (stored && !stored->ok()) {
       *negative = stored->status();
     } else if (stored) {
@@ -92,7 +96,7 @@ void TieredCache::Fill(const TranslationCacheKey& key,
     return;
   }
   if (!degraded) {
-    Span insert(trace, "cache.insert", parent_span);
+    PhaseTimer insert(trace, "cache.insert", parent_span, phases_.cache_insert);
     translation->stats.cache_evictions += cache_.Put(key, *translation);
     if (store_ != nullptr) store_->Put(key, *translation).ok();
   }

@@ -8,6 +8,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "qmap/service/phases.h"
 #include "qmap/service/resilience.h"
 #include "qmap/service/translation_cache.h"
 #include "qmap/store/translation_store.h"
@@ -28,9 +29,11 @@ class Trace;
 class TieredCache {
  public:
   /// `enabled` false turns both tiers off. The store opens when `enabled`
-  /// and `store.path` is set. `metrics` (may be null) must outlive the tier.
+  /// and `store.path` is set. `metrics` (may be null) must outlive the tier,
+  /// as must the histograms `phases` names for the cache.lookup,
+  /// store.lookup and cache.insert phases.
   TieredCache(bool enabled, TranslationCacheOptions cache, StoreOptions store,
-              MetricsRegistry* metrics);
+              MetricsRegistry* metrics, const PhaseHistograms& phases = {});
   ~TieredCache();
 
   /// The translation stored under `key`, else `translate()` filled into
@@ -98,6 +101,7 @@ class TieredCache {
   const bool enabled_;
   const bool store_configured_;
   MetricsRegistry* const metrics_;
+  const PhaseHistograms phases_;
   TranslationCache cache_;
   std::unique_ptr<TranslationStore> store_;
   Status store_open_status_;

@@ -41,13 +41,26 @@ std::string OptionsTag(const TranslatorOptions& options) {
 // source name and the options tag).
 constexpr char kKeySep = '\x1f';
 
+// A computed source translation's own time into the "translate" and "tdqm"
+// phase histograms. Both are zero when the translation was not computed
+// here: a remote answer carries no core time.
+void RecordCoreTime(const PhaseHistograms& phases,
+                    const TranslationStats& stats) {
+  if (phases.translate != nullptr && stats.translate_ns > 0) {
+    phases.translate->Record(stats.translate_ns / 1000);
+  }
+  if (phases.tdqm != nullptr && stats.tdqm_ns > 0) {
+    phases.tdqm->Record(stats.tdqm_ns / 1000);
+  }
+}
+
 }  // namespace
 
 TranslationService::TranslationService(ServiceOptions options)
     : options_(options),
+      observer_(options.obs),
       tier_(options.enable_cache, options.cache, options.store,
-            options.obs.metrics),
-      observer_(options.obs) {
+            options.obs.metrics, observer_.phases()) {
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
@@ -307,6 +320,8 @@ Result<Translation> TranslationService::TranslateOne(
     runtime.in_flight.fetch_sub(1, std::memory_order_relaxed);
     if (!result.ok()) {
       runtime.failures.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      RecordCoreTime(observer_.phases(), result->stats);
     }
     if (report->retries > 0) {
       runtime.retries.fetch_add(report->retries, std::memory_order_relaxed);
@@ -340,17 +355,20 @@ class TranslationService::FanOutSources : public FanOut::Sources {
 
 Result<MediatorTranslation> TranslationService::TranslateFull(
     const Query& full, Trace* trace, const CancelToken* cancel) const {
-  Span root(trace, "service.translate", 0);
+  const PhaseHistograms& phases = observer_.phases();
+  PhaseTimer root(trace, "service.translate", 0, phases.service_translate);
   // Rendering is deferred to this detail-only path; the translation and
   // cache machinery below works purely on fingerprints.
-  if (root.detail()) root.AddAttr("query", ToParseableText(full));
-  const FanOut fanout(resilience_.get(), pool_.get());
+  if (root.span().detail()) {
+    root.span().AddAttr("query", ToParseableText(full));
+  }
+  const FanOut fanout(resilience_.get(), pool_.get(), &phases);
   const size_t n = sources_.size();
   (fanout.Parallel(n) ? parallel_tasks_ : inline_tasks_)
       .fetch_add(n, std::memory_order_relaxed);
   Result<MediatorTranslation> out =
       fanout.Run(full, FanOutSources(*this, full), Integration::kJoin,
-                 cancel, root);
+                 cancel, root.span());
   if (out.ok() && match_attempts_counter_ != nullptr) {
     match_attempts_counter_->Inc(out->stats.match.pattern_attempts);
     match_index_hits_counter_->Inc(out->stats.match.index_hits);

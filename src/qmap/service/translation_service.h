@@ -283,8 +283,8 @@ class TranslationService {
   /// (with pool.wait spans when the fan-out runs on the pool), cache
   /// lookups, and the full per-source algorithm spans underneath (tdqm,
   /// psafe, ednf.safety, scm, disjunctivize — see docs/OBSERVABILITY.md).
-  /// Caveat: reusing one Trace across calls double-counts its spans in
-  /// qmap_span_* metrics; pass a fresh Trace per call when metrics are on.
+  /// One Trace may be reused across calls: each call's spans reach the
+  /// qmap_span_* metrics once.
   Result<MediatorTranslation> Translate(const Query& query,
                                         Trace* trace = nullptr) const;
 
@@ -430,11 +430,12 @@ class TranslationService {
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads <= 1
   // Non-null when options_.resilience.enabled or a fault injector is set.
   std::unique_ptr<ResilienceManager> resilience_;
+  // Slow log, trace ring, latency and phase histograms
+  // (qmap/service/request_observer.h). Before tier_, which times its
+  // phases into the histograms resolved here.
+  mutable RequestObserver observer_;
   // RAM cache → store (qmap/service/tiered_cache.h).
   mutable TieredCache tier_;
-  // Slow log, trace ring, latency histogram
-  // (qmap/service/request_observer.h).
-  mutable RequestObserver observer_;
   // Non-null between StartAdmin() and StopAdmin()/destruction.
   std::unique_ptr<AdminHttpServer> admin_;
   std::atomic<bool> draining_{false};
